@@ -1,5 +1,5 @@
 // MuxClient: the sender-side counterpart of the agent's multiplexed wire
-// dialect (mux_protocol.h).
+// (mux_protocol.h).
 //
 // One client owns one TCP connection to one remote NodeAgent and carries
 // every concurrent transfer to that agent as an interleaved stream:

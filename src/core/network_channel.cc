@@ -46,7 +46,7 @@ obs::Counter& WireDeadlineExpiries() {
 obs::Counter& WireChannelKills() {
   static obs::Counter* counter = obs::Registry::Get().counter(
       "rr_wire_channel_kills_total",
-      "Sender channels killed by ShutdownWire (eviction or desync)");
+      "Sender channels killed by a desynced transfer");
   return *counter;
 }
 
@@ -64,12 +64,13 @@ const bool g_wire_metrics_registered = [] {
 }();
 
 // Terminates every network transfer: receiver -> sender, a status-bearing
-// ack frame confirming the payload durably landed (or why it did not).
-// Layout constants live in network_channel.h (shared with the reactor
-// agent's legacy-dialect state machine).
-constexpr uint8_t kAckMagic = kWireAckMagic;
-constexpr size_t kAckHeaderBytes = kWireAckHeaderBytes;
-constexpr size_t kMaxAckDetail = kWireMaxAckDetail;
+// ack frame confirming the payload durably landed (or why it did not):
+// [u8 magic][u8 status code][u16 LE detail length][detail bytes]. Detail
+// strings are diagnostics, not payload: truncated hard so a misbehaving
+// receiver cannot balloon the ack.
+constexpr uint8_t kAckMagic = 0xA6;
+constexpr size_t kAckHeaderBytes = 4;
+constexpr size_t kMaxAckDetail = 512;
 
 constexpr uint8_t kMaxWireStatusCode =
     static_cast<uint8_t>(StatusCode::kTokenMismatch);
@@ -295,12 +296,6 @@ Status NetworkChannelReceiver::DrainAndReject(uint64_t body_length,
   RR_RETURN_IF_ERROR(SendAck(reason, deadline));
   if (rejected_in_sync != nullptr) *rejected_in_sync = true;
   return Status::Ok();
-}
-
-Status NetworkChannelReceiver::RejectBody(const FrameInfo& frame,
-                                          const Status& reason) {
-  return DrainAndReject(frame.length, reason,
-                        osal::DeadlineAfter(transfer_deadline_), nullptr);
 }
 
 Result<MemoryRegion> NetworkChannelReceiver::ReceiveBody(

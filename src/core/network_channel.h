@@ -9,10 +9,10 @@
 //
 // A fixed binary header (frame length + per-transfer correlation token)
 // precedes the payload; Roadrunner serializes O(metadata), never the body.
-// The token lets invoke-coupled receivers (NodeAgent) attribute each
-// completion to exactly the transfer that requested it — a late completion
-// from a timed-out run can no longer be mis-claimed by the next run. Token 0
-// means untracked (receive-coupled transfers that complete synchronously).
+// The token lets a receiver attribute each completion to exactly the
+// transfer that requested it — a late completion from a timed-out run can
+// no longer be mis-claimed by the next run. Token 0 means untracked
+// (receive-coupled transfers that complete synchronously).
 //
 // Failure semantics (the hardened wire plane):
 //
@@ -20,7 +20,7 @@
 //    [u8 magic 0xA6][u8 status code][u16 LE detail length][detail bytes].
 //    The ack is sent only after the payload has durably landed in the target
 //    (region placed AND written); a receiver-side failure — region
-//    placement, write_memory_host, an exhausted instance pool — travels back
+//    placement or write_memory_host — travels back
 //    as its typed StatusCode plus a truncated detail string, so the sender
 //    fails with the remote error instead of recording success or hanging.
 //    (The old protocol was a single magic byte acked before the paper path
@@ -30,7 +30,7 @@
 //    TransportOptions / api::Runtime::Options). A peer that dies or stalls
 //    mid-transfer surfaces as kDeadlineExceeded/kDataLoss within the bound.
 //  * A receiver that must fail a frame WITHOUT desyncing the channel drains
-//    the body first (RejectBody / the placement-failure paths), so one bad
+//    the body first (the placement-failure paths), so one bad
 //    transfer does not kill the connection for the transfers behind it. Only
 //    an unrecoverable mid-body error (partial splice, implausible header)
 //    tears the channel down.
@@ -104,8 +104,7 @@ class NetworkChannelSender {
   static Result<NetworkChannelSender> Connect(const std::string& host,
                                               uint16_t port);
 
-  // Wraps an already-connected socket (e.g. after a NodeAgent routing
-  // preamble has been exchanged).
+  // Wraps an already-connected socket.
   static Result<NetworkChannelSender> FromConnection(osal::Connection conn);
 
   // Algorithm 1, source side: read_memory_host on the region, then
@@ -131,14 +130,8 @@ class NetworkChannelSender {
   void set_transfer_deadline(Nanos timeout) { transfer_deadline_ = timeout; }
   Nanos transfer_deadline() const { return transfer_deadline_; }
 
-  // Kills the wire without destroying the sender: a Send already in flight
-  // (possibly on another thread) fails with EPIPE, and the peer's receiver
-  // sees EOF. Used by hop eviction, where in-flight users still hold the
-  // hop.
-  void ShutdownWire();
-
-  // False once the wire died — torn down explicitly, or killed by a
-  // transfer that failed without a decoded ack (indeterminate ack stream).
+  // False once the wire died — killed by a transfer that failed without a
+  // decoded ack (indeterminate ack stream).
   // A caching layer uses this to decide whether a failed transfer poisoned
   // the channel (evict, reconnect) or left it healthy (a typed in-sync
   // refusal: keep serving, other transfers on this hop are unaffected).
@@ -152,6 +145,11 @@ class NetworkChannelSender {
   NetworkChannelSender(osal::Connection conn, VirtualDataHose hose)
       : conn_(std::move(conn)), hose_(std::move(hose)) {}
 
+  // Kills the wire without destroying the sender: a Send already in flight
+  // (possibly on another thread) fails with EPIPE, and the peer's receiver
+  // sees EOF.
+  void ShutdownWire();
+
   // Reads and decodes the receiver's ack frame. `*ack_decoded` is set true
   // once a well-formed ack was consumed (whatever status it carries) — the
   // channel is then provably still synchronized; on false the ack stream is
@@ -161,8 +159,8 @@ class NetworkChannelSender {
   osal::Connection conn_;
   VirtualDataHose hose_;
   Nanos transfer_deadline_{0};
-  // Atomic: Sends run under the owning hop's mutex, but eviction's
-  // ShutdownWire and a health probe may race them from other threads.
+  // Atomic: Sends run under the owning hop's mutex, but a health probe may
+  // race them from other threads.
   std::atomic<bool> wire_ok_{true};
   uint64_t bytes_sent_ = 0;
   TransferTiming timing_;
@@ -170,23 +168,15 @@ class NetworkChannelSender {
 
 // Flag bit on the frame header's length field signalling a trace-context
 // extension. The length is validated to fit kMaxFrameBytes (< 2^32), so the
-// high bits of the wire field are guaranteed zero on legacy frames — a
-// legacy peer's frames parse unchanged, and a frame carrying the flag is
-// followed by 16 extra header bytes: [u64 trace id][u64 parent span id].
+// high bits of the wire field are guaranteed zero on untraced frames — they
+// parse unchanged, and a frame carrying the flag is followed by 16 extra
+// header bytes: [u64 trace id][u64 parent span id].
 constexpr uint64_t kFrameTraceFlag = 1ull << 63;
-
-// The status-bearing delivery ack terminating every legacy transfer
-// (receiver -> sender): [u8 magic][u8 status code][u16 LE detail length]
-// [detail bytes]. Shared between NetworkChannelReceiver and the reactor
-// agent's legacy-dialect state machine. Detail strings are diagnostics, not
-// payload: truncated hard so a misbehaving receiver cannot balloon the ack.
-constexpr uint8_t kWireAckMagic = 0xA6;
-constexpr size_t kWireAckHeaderBytes = 4;
-constexpr size_t kWireMaxAckDetail = 512;
 
 // The frame header preceding every payload: 16 fixed bytes (length +
 // correlation token), plus the optional 16-byte trace-context extension
-// (kFrameTraceFlag). trace_id 0 = no context (legacy frame, or tracing off).
+// (kFrameTraceFlag). trace_id 0 = no context (untraced frame, or tracing
+// off).
 struct FrameInfo {
   uint64_t length = 0;
   uint64_t token = 0;
@@ -198,9 +188,9 @@ class NetworkChannelReceiver {
  public:
   static Result<NetworkChannelReceiver> FromConnection(osal::Connection conn);
 
-  // Two-phase receive: blocks for the next frame's header alone. Lets an
-  // agent park here without holding the target shim, then serialize the body
-  // delivery + invoke under the shim's lock (ReceiveBody). The default
+  // Two-phase receive: blocks for the next frame's header alone, so a
+  // caller can park here without holding the target shim, then deliver the
+  // body under the shim's lock (ReceiveBody). The default
   // kNoDeadline is deliberate — an idle channel waits for its next frame
   // indefinitely; pass a deadline when the header is part of one bounded
   // transfer (ReceiveInto does).
@@ -218,14 +208,6 @@ class NetworkChannelReceiver {
                                    CopyMode mode = CopyMode::kShimStaging,
                                    const RegionPlacer* place = nullptr,
                                    bool* rejected_in_sync = nullptr);
-
-  // Refuses a frame WITHOUT desyncing the channel: drains the body into a
-  // scratch buffer (deadline-bounded) and sends `reason` as the error ack.
-  // The sender's pending transfer fails with `reason`'s code + message; the
-  // channel stays usable for subsequent frames. Used when the frame cannot
-  // even be delivered (no pool instance available). Fails only when the
-  // drain or ack write fails — the channel is then dead.
-  Status RejectBody(const FrameInfo& frame, const Status& reason);
 
   // Algorithm 1, target side: splice from the socket into the hose,
   // allocate_memory(length) in the target, write into its linear memory.

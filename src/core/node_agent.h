@@ -2,36 +2,29 @@
 //
 // The paper's deployment runs one shim per function; transfers from another
 // node arrive at the node's address and must reach the right function's
-// shim. NodeAgent owns that ingress. Two implementations share the public
-// surface (Options::ingress):
+// shim. NodeAgent owns that ingress, and it speaks one wire: the multiplexed
+// agent protocol (mux_protocol.h) — many concurrent streams per connection,
+// interleaved chunk frames, per-stream flow-control windows, and completion
+// frames that carry the *invocation* outcome back to the sender (a remote
+// handler failure fails the sender's edge immediately instead of waiting out
+// its delivery deadline). A connection whose first two bytes are not the mux
+// preamble magic is dropped. The sender side is core::MuxClient
+// (mux_client.h).
 //
-//  * kReactor (default): the event-driven plane. One epoll reactor thread
-//    per core-shard multiplexes every connection — no thread per connection,
-//    no blocking header park. Connections are round-robined across shards at
-//    accept; each shard's loop stages frame bodies as bytes arrive and hands
-//    completed frames to a fixed invoke-worker pool (the only place Wasm
-//    runs), so ten thousand idle or trickling peers cost table entries, not
-//    threads. Both wire dialects are served and distinguished by the first
-//    two preamble bytes:
-//      - the legacy sequential dialect (network_channel.h): routing preamble,
-//        16/32-byte frame headers, status-bearing delivery acks — existing
-//        NetworkChannelSender peers work unchanged;
-//      - the multiplexed dialect (mux_protocol.h): many concurrent streams
-//        per connection, interleaved chunk frames, per-stream flow-control
-//        windows, and completion frames that carry the *invocation* outcome
-//        back to the sender (a remote handler failure fails the sender's
-//        edge immediately instead of waiting out its delivery deadline).
-//    Connections idle past Options::idle_timeout with nothing in flight are
-//    swept (the PR 5 "header park stays unbounded" contract is retired);
-//    senders re-establish transparently on their next dispatch.
-//  * kThreaded: the historical thread-per-connection plane, kept so the
-//    fault-injection matrix can run against both implementations. Accept
-//    survives transient errors, finished workers are reaped as the agent
-//    runs, pool exhaustion refuses frames with a typed error ack, body
-//    receives are deadline-bounded, and no failure leaks a placed region.
+// The ingress is event-driven: one epoll reactor thread per core-shard
+// multiplexes every connection — no thread per connection, no blocking
+// header park. Connections are round-robined across shards at accept; each
+// shard's loop stages stream bodies as bytes arrive and hands completed
+// streams to a fixed invoke-worker pool (the only place Wasm runs), so ten
+// thousand idle or trickling peers cost table entries, not threads. Accept
+// survives transient errors, pool exhaustion refuses a stream with a typed
+// completion, stalled streams are failed at the transfer deadline, and no
+// failure leaks a placed region. Connections idle past
+// Options::idle_timeout with nothing in flight are swept; senders
+// re-establish transparently on their next dispatch.
 //
 // Instance pools: each registered function is backed by a ShimPool; every
-// received frame leases its own instance for the receive+invoke, so
+// received stream leases its own instance for the land+invoke, so
 // concurrent transfers into one function fan out across the pool.
 #pragma once
 
@@ -39,15 +32,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
-#include <thread>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "core/network_channel.h"
 #include "core/shim.h"
 #include "core/shim_pool.h"
+#include "osal/socket.h"
 
 namespace rr::core {
 
@@ -58,26 +48,22 @@ bool IsTransientAcceptError(const Status& status);
 class NodeAgent {
  public:
   struct Options {
-    // Bounds one frame's body receive (and its ack write) on both planes; on
-    // the reactor plane it also bounds how long a stream may sit mid-body
+    // Bounds how long a stream may sit mid-body, and a connection mid-frame,
     // without progress before it is dropped. The sender-side transfer
     // deadline is the other half of the bound; together they guarantee a
-    // wedged peer frees the worker. Non-positive = unbounded.
+    // wedged peer frees its staging state. Non-positive = unbounded.
     // NOTE: first member — existing call sites aggregate-initialize
     // Options{deadline}.
     Nanos transfer_deadline = std::chrono::seconds(30);
 
-    enum class Ingress { kReactor, kThreaded };
-    Ingress ingress = Ingress::kReactor;
-
-    // Reactor plane shape. 0 = pick from hardware concurrency. Shards are
-    // epoll loops (connections round-robin across them); invoke workers are
+    // Ingress shape. 0 = pick from hardware concurrency. Shards are epoll
+    // loops (connections round-robin across them); invoke workers are
     // the only threads that run Wasm. Total agent threads = shards +
     // invoke_workers, independent of connection or stream count.
     size_t shards = 0;
     size_t invoke_workers = 0;
 
-    // Reactor plane: connections with no frame mid-receive, no stream open,
+    // Connections with no frame mid-receive, no stream open,
     // and no invoke in flight for this long are closed. Senders reconnect
     // transparently on their next dispatch. Non-positive = never swept.
     Nanos idle_timeout = std::chrono::seconds(60);
@@ -127,17 +113,12 @@ class NodeAgent {
 
   uint64_t transfers_completed() const { return transfers_completed_.load(); }
 
-  // Frames refused with a typed error (pool exhausted): an error ack on the
-  // legacy dialect, an error completion frame on the mux dialect. Each one
-  // failed exactly one sender-side transfer.
+  // Streams refused at admission or for an exhausted pool, each with a
+  // typed error completion frame that failed exactly one sender-side
+  // transfer.
   uint64_t transfers_refused() const { return transfers_refused_.load(); }
 
-  // Connection threads currently tracked (threaded plane only; the reactor
-  // plane has no per-connection threads, by design).
-  size_t live_workers() const;
-
-  // Connections currently served (either plane). Observability for the
-  // idle-sweep tests.
+  // Connections currently served. Observability for the idle-sweep tests.
   size_t active_connections() const {
     return active_connections_.load(std::memory_order_relaxed);
   }
@@ -151,14 +132,6 @@ class NodeAgent {
   // Out-of-line: ReactorPlane is incomplete here.
   NodeAgent(osal::TcpListener listener, Options options);
 
-  // --- threaded plane ---
-  void AcceptLoop();
-  void ServeConnection(osal::Connection conn);
-
-  // Joins every worker whose ServeConnection has announced completion.
-  // Called from the accept loop between accepts and from Shutdown.
-  void ReapFinished();
-
   struct Entry {
     std::shared_ptr<ShimPool> pool;
     DeliveryCallback on_delivery;
@@ -166,31 +139,13 @@ class NodeAgent {
 
   osal::TcpListener listener_;
   const Options options_;
-  mutable Mutex mutex_;
+  Mutex mutex_;
   std::map<std::string, Entry> functions_ RR_GUARDED_BY(mutex_);
-  // Accepted-connection fds, tracked so Shutdown can unblock workers parked
-  // in a receive (a peer that never closes must not wedge teardown).
-  std::set<int> active_fds_ RR_GUARDED_BY(mutex_);
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> transfers_completed_{0};
   std::atomic<uint64_t> transfers_refused_{0};
   std::atomic<size_t> active_connections_{0};
-  std::thread accept_thread_;
-  // Workers keyed by id; a worker pushes its id to finished_ when its
-  // connection ends, and ReapFinished joins+erases those entries.
-  std::map<uint64_t, std::thread> workers_ RR_GUARDED_BY(mutex_);
-  std::vector<uint64_t> finished_ RR_GUARDED_BY(mutex_);
-  uint64_t next_worker_id_ RR_GUARDED_BY(mutex_) = 0;
-
-  // --- reactor plane ---
   std::unique_ptr<ReactorPlane> reactor_plane_;
 };
-
-// Sender-side counterpart for the legacy dialect: connects to a remote
-// NodeAgent (optionally through a shaped link) and opens a sequential
-// channel to a named function there. The mux dialect's counterpart is
-// core::MuxClient (mux_client.h).
-Result<NetworkChannelSender> ConnectToRemoteFunction(
-    const std::string& host, uint16_t agent_port, const std::string& function);
 
 }  // namespace rr::core

@@ -45,16 +45,6 @@ struct TransportOptions {
   // the 30 s default comfortably covers paper-scale payloads on the
   // emulated 100 Mbps testbed.
   Nanos transfer_deadline = std::chrono::seconds(30);
-
-  // Which dialect agent-bound hops speak. kMux (default): one multiplexed
-  // connection per remote agent shared by every function and every
-  // concurrent transfer — interleaved chunk frames, per-stream flow
-  // control, and completion frames that surface the remote *invocation*
-  // outcome through DispatchAsync's callback. kLegacy: one sequential
-  // connection per (source, target) pair with delivery acks only — kept for
-  // the fault-injection matrix and old peers.
-  enum class AgentWire { kMux, kLegacy };
-  AgentWire agent_wire = AgentWire::kMux;
 };
 
 // One cached duplex channel between a source and a target function.
@@ -64,10 +54,11 @@ class Hop {
 
   virtual TransferMode mode() const = 0;
 
-  // True when delivery and invocation are fused on the far side: the frame
+  // True when delivery and invocation are fused on the far side: the stream
   // lands at a remote NodeAgent whose worker performs Algorithm 1's
-  // receive+invoke. Such hops cannot Forward (deliver-only); they Dispatch,
-  // and the outcome returns through the agent's delivery callback.
+  // receive+invoke. Such hops cannot Forward (deliver-only); they
+  // DispatchAsync, and the output returns through the agent's delivery
+  // callback.
   virtual bool invoke_coupled() const { return false; }
 
   // Delivers `payload` into `target`'s linear memory without invoking it —
@@ -89,37 +80,29 @@ class Hop {
                                                  Shim& target,
                                                  TransferTiming* timing = nullptr);
 
-  // Invoke-coupled dispatch: sends the payload as one frame stamped with the
-  // per-transfer correlation `token` (a segmented fan-in payload travels as
-  // one frame, vectored over its chunks). The remote agent receives,
-  // invokes, and reports the outcome (with the token) through its delivery
-  // callback. Fails with kFailedPrecondition on local hops, whose transfers
-  // complete synchronously.
-  virtual Status Dispatch(const Payload& payload, uint64_t token,
-                          TransferTiming* timing = nullptr);
-
   // Receives the transfer's terminal status once the far side has spoken:
-  // on the mux wire, the remote *invocation* outcome (a handler failure
-  // arrives here immediately); on the legacy wire, the delivery ack (the
-  // invocation outcome still travels through the agent's delivery callback).
+  // the remote *invocation* outcome, carried by the agent's completion frame
+  // (a handler failure arrives here immediately). A successful invocation's
+  // output still travels through the agent's delivery callback.
   using DispatchDoneFn = std::function<void(Status)>;
 
-  // Completion-driven dispatch: initiates the transfer and returns without
-  // waiting for the wire. Returns non-OK only when the dispatch could not be
+  // Invoke-coupled dispatch: sends the payload as one stream stamped with
+  // the per-transfer correlation `token` (a segmented fan-in payload travels
+  // as one stream, chunked over its segments) and returns without waiting
+  // for the wire. Returns non-OK only when the dispatch could not be
   // initiated — `done` then never fires. On OK, `done` fires exactly once
   // (possibly before this call returns, and possibly on a reactor thread —
-  // it must not block on the dispatching thread's locks). The base
-  // implementation adapts synchronous hops: a blocking Dispatch, then
-  // done(Ok).
+  // it must not block on the dispatching thread's locks). Fails with
+  // kFailedPrecondition on local hops, whose transfers complete
+  // synchronously through Forward.
   virtual Status DispatchAsync(const Payload& payload, uint64_t token,
                                TransferTiming* timing, DispatchDoneFn done);
 
   // False once the hop's underlying wire has died — torn down by Close, or
   // killed by a transfer that failed without a decoded ack. A failed
-  // transfer on a healthy hop (a typed in-sync refusal, e.g. the remote
-  // pool was exhausted) leaves healthy() true: callers must NOT evict such
-  // hops, or they collapse the other transfers sharing the channel.
-  // Wireless hops are always healthy.
+  // transfer on a healthy hop (a typed in-sync rejection) leaves healthy()
+  // true: callers must NOT evict such hops, or they collapse the other
+  // transfers sharing the channel. Wireless hops are always healthy.
   virtual bool healthy() const { return true; }
 
   // Kills the underlying wire (idempotent) without invalidating the object:

@@ -30,11 +30,12 @@
 //
 //  * the agent's delivery callback (DeliverySink -> DeliverOutcome) carrying
 //    the remote invocation's outcome and output lease — the success path;
-//  * the hop's DispatchAsync callback with an error — on the mux wire this
-//    is the agent's completion frame, so a remote HANDLER failure fails the
-//    edge immediately instead of waiting out the deadline;
-//  * the remote_deadline sweeper — now a BACKSTOP for a far side that went
-//    fully silent (legacy-wire invoke failure, dead agent, lost frame).
+//  * the hop's DispatchAsync callback with an error — the agent's
+//    completion frame, so a remote HANDLER failure fails the edge
+//    immediately instead of waiting out the deadline (a dead connection
+//    fails it the same way);
+//  * the remote_deadline sweeper — a BACKSTOP for a far side that went
+//    fully silent (a hung agent, a lost completion).
 //
 // No scheduler worker ever parks on a wire wait, so in-flight remote edges
 // are bounded by memory, not pool width. Tokens make the attribution exact:
@@ -117,8 +118,8 @@ class DagExecutor {
 
   // Backstop on one remote (NodeAgent) edge: how long from dispatch until
   // the edge fails with kDeadlineExceeded when NO signal arrives — neither a
-  // delivery callback nor a completion frame. Failures that do speak (a mux
-  // completion frame, a dead channel) resolve the edge immediately,
+  // delivery callback nor a completion frame. Failures that do speak (an
+  // error completion frame, a dead connection) resolve the edge immediately,
   // regardless of this value. Non-positive disables the backstop entirely
   // (unbounded) — it never means "expire immediately". With retries enabled
   // the backstop bounds EACH attempt, not the edge.

@@ -73,10 +73,9 @@ TEST_F(RuntimeTest, SubmitChainReturnsHandleAndResult) {
   EXPECT_TRUE((*invocation)->Done());
   // Wait after completion returns the same stored result.
   EXPECT_EQ(ToString(*(*invocation)->Wait()), "in|a|b");
-  // The deprecated Bytes shim materializes the same bytes (cached copy).
-  const Result<Bytes>& bytes = (*invocation)->WaitBytes();
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(ToString(*bytes), "in|a|b");
+  // Callers that need contiguous bytes materialize the buffer themselves.
+  const Bytes bytes = (*invocation)->Wait()->ToBytes();
+  EXPECT_EQ(ToString(bytes), "in|a|b");
 }
 
 TEST_F(RuntimeTest, SubmitValidatesBeforeExecution) {

@@ -3,8 +3,10 @@
 // runtime selection.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <thread>
 
+#include "core/mux_client.h"
 #include "core/node_agent.h"
 #include "core/state_store.h"
 #include "runtime/function.h"
@@ -53,41 +55,53 @@ MemoryRegion Stage(Shim& shim, ByteSpan data) {
 // NodeAgent
 // ---------------------------------------------------------------------------
 
+// Sends one stream over `client` and waits for its completion frame.
+Status SendAndWait(MuxClient& client, const std::string& function,
+                   const std::string& payload, uint64_t token) {
+  auto done = std::make_shared<std::promise<Status>>();
+  std::future<Status> completed = done->get_future();
+  RR_RETURN_IF_ERROR(client.StartStream(
+      function, rr::Buffer::FromString(payload), token,
+      std::chrono::seconds(5),
+      [done](Status status) { done->set_value(std::move(status)); }));
+  if (completed.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    return DeadlineExceededError("no completion frame for " + function);
+  }
+  return completed.get();
+}
+
 TEST(NodeAgentTest, RoutesTransferToNamedFunction) {
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
 
   auto target = MakeShim("resize");
+  auto bystander = MakeShim("thumbnail");
   std::mutex mutex;
+  std::string delivered_function;
   std::string delivered_payload;
-  ASSERT_TRUE((*agent)
-                  ->RegisterFunction(
-                      target.get(),
-                      [&](const std::string&, InvokeOutcome outcome,
+  const auto record = [&](const std::string& function, InvokeOutcome outcome,
                           uint64_t /*token*/, core::ShimLease instance) {
-                        auto view = instance->OutputView(outcome.output);
-                        std::lock_guard<std::mutex> lock(mutex);
-                        delivered_payload = std::string(AsStringView(*view));
-                        (void)instance->ReleaseRegion(outcome.output);
-                      })
-                  .ok());
+    auto view = instance->OutputView(outcome.output);
+    std::lock_guard<std::mutex> lock(mutex);
+    delivered_function = function;
+    delivered_payload = std::string(AsStringView(*view));
+    (void)instance->ReleaseRegion(outcome.output);
+  };
+  ASSERT_TRUE((*agent)->RegisterFunction(target.get(), record).ok());
+  ASSERT_TRUE((*agent)->RegisterFunction(bystander.get(), record).ok());
 
-  auto source = MakeShim("producer");
-  auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "resize");
-  ASSERT_TRUE(sender.ok()) << sender.status();
-  const MemoryRegion staged = Stage(*source, AsBytes("frame-bytes"));
-  ASSERT_TRUE(sender->Send(*source, staged).ok());
+  auto reactor = osal::Reactor::Start("node-agent-test");
+  ASSERT_TRUE(reactor.ok()) << reactor.status();
+  auto client = MuxClient::Create(*reactor, "127.0.0.1", (*agent)->port());
+  ASSERT_TRUE(SendAndWait(*client, "resize", "frame-bytes", 1).ok());
 
-  // The ack in the channel protocol guarantees delivery completed, but the
-  // callback runs after the ack; poll briefly.
-  for (int i = 0; i < 200; ++i) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!delivered_payload.empty()) break;
-    }
-    PreciseSleep(std::chrono::milliseconds(1));
-  }
+  // The completion frame leaves before the delivery callback runs; Shutdown
+  // joins the invoke workers, so the callback has run once it returns.
+  client->Close();
+  (*agent)->Shutdown();
   std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(delivered_function, "resize");
   EXPECT_EQ(delivered_payload, "frame-bytes");
   EXPECT_EQ((*agent)->transfers_completed(), 1u);
 }
@@ -98,31 +112,21 @@ TEST(NodeAgentTest, MultipleTransfersOnOneChannel) {
   auto target = MakeShim("sink");
   ASSERT_TRUE((*agent)->RegisterFunction(target.get()).ok());
 
-  auto source = MakeShim("producer");
-  auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "sink");
-  ASSERT_TRUE(sender.ok());
+  auto reactor = osal::Reactor::Start("node-agent-test");
+  ASSERT_TRUE(reactor.ok()) << reactor.status();
+  auto client = MuxClient::Create(*reactor, "127.0.0.1", (*agent)->port());
   for (int i = 0; i < 5; ++i) {
-    const MemoryRegion staged =
-        Stage(*source, AsBytes("payload-" + std::to_string(i)));
-    ASSERT_TRUE(sender->Send(*source, staged).ok()) << "round " << i;
-    ASSERT_TRUE(source->data().deallocate_memory(staged.address).ok());
+    const Status sent =
+        SendAndWait(*client, "sink", "payload-" + std::to_string(i), i + 1);
+    ASSERT_TRUE(sent.ok()) << "round " << i << ": " << sent;
   }
-  // The delivery ack precedes the worker's invoke + counter bump, and the
-  // worker touches the target shim until it is joined — shut down before
-  // asserting (and before the shims die).
+  // Every transfer rode the one connection.
+  EXPECT_EQ((*agent)->active_connections(), 1u);
+  // The worker touches the target shim until it is joined — shut down before
+  // the shims die.
+  client->Close();
   (*agent)->Shutdown();
   EXPECT_EQ((*agent)->transfers_completed(), 5u);
-}
-
-TEST(NodeAgentTest, UnknownFunctionDropsConnection) {
-  auto agent = NodeAgent::Start(0);
-  ASSERT_TRUE(agent.ok());
-  auto source = MakeShim("producer");
-  auto sender = ConnectToRemoteFunction("127.0.0.1", (*agent)->port(), "ghost");
-  ASSERT_TRUE(sender.ok());  // preamble sent; agent drops after reading it
-  const MemoryRegion staged = Stage(*source, AsBytes("lost"));
-  const Status status = sender->Send(*source, staged);
-  EXPECT_FALSE(status.ok());  // no ack ever arrives (EOF)
 }
 
 TEST(NodeAgentTest, DuplicateRegistrationRejected) {

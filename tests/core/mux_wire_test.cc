@@ -1,8 +1,9 @@
-// The multiplexed wire dialect end to end: MuxClient streams against the
-// reactor-plane NodeAgent. Covers the contracts the legacy sequential wire
-// cannot express — completion frames that carry the remote *invocation*
-// outcome (a handler failure fails the sender immediately, not at the
-// delivery deadline), stream-fatal vs connection-fatal failure isolation,
+// The agent wire end to end: MuxClient streams against the NodeAgent.
+// Covers completion frames that carry the remote *invocation* outcome (a
+// handler failure fails the sender immediately, not at the delivery
+// deadline), stream-fatal vs connection-fatal failure isolation (typed
+// refusals for unknown functions and exhausted pools, teardown on malformed
+// frames and foreign preambles), no leaked guest regions on failure,
 // flow-control window exhaustion surfacing typed instead of hanging, fair
 // interleaving of small streams past large ones, and the idle-connection
 // sweep being invisible to senders (transparent reconnect).
@@ -97,6 +98,21 @@ std::shared_ptr<osal::Reactor> TestReactor() {
   return reactor.ok() ? *reactor : nullptr;
 }
 
+// Guest regions registered across all of `pool`'s instances. Leases every
+// instance at once, so the pool must be idle and hold exactly `instances`.
+size_t RegisteredRegions(ShimPool& pool, size_t instances) {
+  std::vector<ShimLease> leases;
+  size_t regions = 0;
+  for (size_t i = 0; i < instances; ++i) {
+    auto lease = pool.Lease();
+    EXPECT_TRUE(lease.ok()) << lease.status();
+    if (!lease.ok()) break;
+    regions += (*lease)->data().registered_region_count();
+    leases.push_back(std::move(*lease));
+  }
+  return regions;
+}
+
 TEST(MuxWireTest, ConcurrentStreamsRoundTripWithCompletionFrames) {
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
@@ -147,9 +163,11 @@ TEST(MuxWireTest, ConcurrentStreamsRoundTripWithCompletionFrames) {
 TEST(MuxWireTest, StreamFailureLeavesConcurrentStreamsUnharmed) {
   // Stream-fatal is not connection-fatal: one stream's handler rejection
   // rides back as an error completion frame while its neighbours — already
-  // interleaved on the same connection — complete untouched.
+  // interleaved on the same connection — complete untouched. The failed
+  // invoke's input region must not leak: its instance returns to the pool.
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
+  constexpr size_t kInstances = 3;
   auto pool = MakePool(
       "picky",
       [](ByteSpan input) -> Result<Bytes> {
@@ -158,8 +176,9 @@ TEST(MuxWireTest, StreamFailureLeavesConcurrentStreamsUnharmed) {
         }
         return Bytes(input.begin(), input.end());
       },
-      /*instances=*/3);
+      kInstances);
   ASSERT_TRUE(pool.ok()) << pool.status();
+  const size_t regions_before = RegisteredRegions(**pool, kInstances);
   ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
 
   auto reactor = TestReactor();
@@ -198,7 +217,9 @@ TEST(MuxWireTest, StreamFailureLeavesConcurrentStreamsUnharmed) {
   EXPECT_TRUE(client->connected());
 
   client->Close();
+  // Shutdown joins the invoke workers, so every output release has run.
   (*agent)->Shutdown();
+  EXPECT_EQ(RegisteredRegions(**pool, kInstances), regions_before);
 }
 
 TEST(MuxWireTest, UnknownFunctionFailsTypedAndConnectionSurvives) {
@@ -232,6 +253,69 @@ TEST(MuxWireTest, UnknownFunctionFailsTypedAndConnectionSurvives) {
                   .ok());
   ASSERT_TRUE(echo->WaitFor(kEventBound));
   EXPECT_TRUE(echo->Get().ok()) << echo->Get();
+
+  client->Close();
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, PoolExhaustedAgentRefusesStreamTypedAndRecovers) {
+  NodeAgent::Options options;
+  options.transfer_deadline = kFailureBound;
+  auto agent = NodeAgent::Start(0, options);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+
+  runtime::PoolOptions pool_options;
+  pool_options.min_warm = 1;
+  pool_options.max_instances = 1;
+  pool_options.acquire_timeout = std::chrono::milliseconds(50);
+  auto pool = ShimPool::Create(Spec("choked"), Binary(), {}, pool_options);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*pool)
+                  ->Deploy([](ByteSpan input) -> Result<Bytes> {
+                    return Bytes(input.begin(), input.end());
+                  })
+                  .ok());
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+
+  {
+    // Occupy the pool's only instance: the agent cannot serve the stream.
+    auto hog = (*pool)->Lease();
+    ASSERT_TRUE(hog.ok()) << hog.status();
+
+    auto starved = std::make_shared<Completion>();
+    const Stopwatch timer;
+    ASSERT_TRUE(client
+                    ->StartStream("choked", rr::Buffer::FromString("starved"),
+                                  /*token=*/1, kFailureBound,
+                                  starved->Arm(starved))
+                    .ok());
+    ASSERT_TRUE(starved->WaitFor(kEventBound));
+    EXPECT_EQ(starved->Get().code(), StatusCode::kResourceExhausted)
+        << starved->Get();
+    EXPECT_NE(starved->Get().message().find("no instance available"),
+              std::string::npos)
+        << starved->Get();
+    EXPECT_LT(timer.Elapsed(), kFailureBound);
+  }
+  EXPECT_EQ((*agent)->transfers_refused(), 1u);
+  EXPECT_EQ((*agent)->transfers_completed(), 0u);
+
+  // The instance is back and the SAME client serves the next stream: the
+  // refusal degraded one transfer, not the connection.
+  auto recovered = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("choked", rr::Buffer::FromString("recovered"),
+                                /*token=*/2, kFailureBound,
+                                recovered->Arm(recovered))
+                  .ok());
+  ASSERT_TRUE(recovered->WaitFor(kEventBound));
+  EXPECT_TRUE(recovered->Get().ok()) << recovered->Get();
+  EXPECT_EQ((*agent)->transfers_completed(), 1u);
+  EXPECT_TRUE(client->connected());
 
   client->Close();
   (*agent)->Shutdown();
@@ -619,6 +703,44 @@ TEST(MuxWireTest, CommitmentCapBoundsOpensAndCancelReleasesIt) {
   (*agent)->Shutdown();
 }
 
+TEST(MuxWireTest, StalledStreamFailsTypedAtTransferDeadline) {
+  // A sender that opens a stream and stops mid-body: the agent's sweep fails
+  // the stream typed at its transfer deadline, while the connection — at a
+  // frame boundary — keeps serving.
+  NodeAgent::Options options;
+  options.transfer_deadline = std::chrono::milliseconds(200);
+  auto agent = NodeAgent::Start(0, options);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("echo", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto conn = DialMux((*agent)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  ASSERT_TRUE(conn->SetIoTimeouts(kEventBound).ok());
+  const Stopwatch timer;
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(1, /*token=*/1, 100, "echo")).ok());
+  ASSERT_TRUE(conn->Send(EncodeRawData(1, Bytes(10, 0x11))).ok());
+  auto stalled = ReadCompletion(*conn);
+  ASSERT_TRUE(stalled.ok()) << stalled.status();
+  EXPECT_EQ(stalled->stream_id, 1u);
+  EXPECT_EQ(stalled->code, StatusCode::kDeadlineExceeded) << stalled->detail;
+  EXPECT_LT(timer.Elapsed(), kFailureBound);
+
+  ASSERT_TRUE(conn->Send(EncodeRawOpen(2, /*token=*/2, 5, "echo")).ok());
+  ASSERT_TRUE(conn->Send(EncodeRawData(2, AsBytes("hello"))).ok());
+  auto ok = ReadCompletion(*conn);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->stream_id, 2u);
+  EXPECT_EQ(ok->code, StatusCode::kOk) << ok->detail;
+  EXPECT_EQ((*agent)->transfers_completed(), 1u);
+
+  conn->Close();
+  (*agent)->Shutdown();
+}
+
 TEST(MuxWireTest, DataPastGrantedWindowIsConnectionFatal) {
   // The flow-control window is enforcement, not etiquette: with grants
   // deferred (commitment cap full), a peer that keeps sending past its
@@ -665,6 +787,68 @@ TEST(MuxWireTest, DataPastGrantedWindowIsConnectionFatal) {
   EXPECT_TRUE(!n.ok() || *n == 0) << "wire still open after teardown";
 
   conn->Close();
+  (*agent)->Shutdown();
+}
+
+// Reads until the agent closes the connection. EOF (0) means the agent
+// dropped it; the I/O timeout turns a regression into a failure, not a hang.
+Result<size_t> AwaitClose(osal::Connection& conn) {
+  RR_RETURN_IF_ERROR(conn.SetIoTimeouts(kEventBound));
+  uint8_t probe = 0;
+  return conn.ReceiveSome(MutableByteSpan(&probe, 1));
+}
+
+TEST(MuxWireTest, ImplausibleHeaderTearsAgentChannelDown) {
+  // A frame header the agent must refuse to trust: the byte stream past it
+  // cannot be re-framed, so the connection is dropped.
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("sink", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto conn = DialMux((*agent)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  Bytes header(kMuxFrameHeaderBytes);
+  MuxFrameHeader h;
+  h.type = kMuxFrameOpen;
+  h.stream_id = 1;
+  h.payload_length = UINT32_MAX;
+  EncodeMuxFrameHeader(h, header.data());
+  ASSERT_TRUE(conn->Send(header).ok());
+
+  auto n = AwaitClose(*conn);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 0u);
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, ForeignPreambleIsDroppedNotHung) {
+  // The retired sequential dialect opened with [u16 LE name length][name].
+  // The agent speaks only mux: any first u16 other than the magic drops the
+  // connection at once instead of waiting for bytes that never frame.
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("sink", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto conn = osal::TcpConnect("127.0.0.1", (*agent)->port());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  const std::string name = "sink";
+  Bytes preamble(2 + name.size());
+  StoreLE<uint16_t>(preamble.data(), static_cast<uint16_t>(name.size()));
+  std::memcpy(preamble.data() + 2, name.data(), name.size());
+  ASSERT_TRUE(conn->Send(preamble).ok());
+
+  auto n = AwaitClose(*conn);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 0u);
+  EXPECT_EQ((*agent)->transfers_completed(), 0u);
   (*agent)->Shutdown();
 }
 

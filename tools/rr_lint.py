@@ -89,7 +89,7 @@ RULES = {
 BLOCKING_CALLS = [
     r"\.wait",          # CondVar / condition_variable wait, wait_for, wait_until
     r"->wait",
-    r"\.Wait",          # Invocation::Wait / WaitBytes / WaitFor, Epoll::Wait
+    r"\.Wait",          # Invocation::Wait / WaitFor, Epoll::Wait
     r"->Wait",
     r"\.Acquire",       # InstancePool / ShimPool lease acquisition
     r"->Acquire",
