@@ -222,6 +222,55 @@ TEST(MuxWireTest, StreamFailureLeavesConcurrentStreamsUnharmed) {
   EXPECT_EQ(RegisteredRegions(**pool, kInstances), regions_before);
 }
 
+TEST(MuxWireTest, InvokeFailureKeepsChannelAliveAndLeaksNoRegion) {
+  // One stream after another on the same connection, against a pool of one
+  // instance: the next stream can only run if the failed invoke handed its
+  // instance back, and that instance must hold no leaked input region.
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool(
+      "picky",
+      [](ByteSpan input) -> Result<Bytes> {
+        if (AsStringView(input) == "poison") {
+          return InternalError("handler rejected input");
+        }
+        return Bytes(input.begin(), input.end());
+      },
+      /*instances=*/1);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  const size_t regions_before = RegisteredRegions(**pool, 1);
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+
+  auto poisoned = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("picky", rr::Buffer::FromString("poison"),
+                                /*token=*/1, kFailureBound,
+                                poisoned->Arm(poisoned))
+                  .ok());
+  ASSERT_TRUE(poisoned->WaitFor(kEventBound));
+  EXPECT_EQ(poisoned->Get().code(), StatusCode::kInternal) << poisoned->Get();
+  EXPECT_TRUE(client->connected());
+
+  auto fine = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("picky", rr::Buffer::FromString("fine"),
+                                /*token=*/2, kFailureBound, fine->Arm(fine))
+                  .ok());
+  ASSERT_TRUE(fine->WaitFor(kEventBound));
+  EXPECT_TRUE(fine->Get().ok()) << fine->Get();
+  EXPECT_TRUE(client->connected());
+
+  client->Close();
+  // Shutdown joins the invoke workers, so every output release has run.
+  (*agent)->Shutdown();
+  EXPECT_EQ((*agent)->transfers_completed(), 1u);
+  EXPECT_EQ(RegisteredRegions(**pool, 1), regions_before);
+}
+
 TEST(MuxWireTest, UnknownFunctionFailsTypedAndConnectionSurvives) {
   auto agent = NodeAgent::Start(0);
   ASSERT_TRUE(agent.ok()) << agent.status();
