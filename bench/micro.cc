@@ -1,6 +1,7 @@
 // Micro/ablation benchmarks (google-benchmark) for the design choices
 // DESIGN.md calls out:
-//   1. virtual data hose (vmsplice+splice) vs plain write/read
+//   1. virtual data hose (vmsplice+splice) vs plain write/read, and the
+//      kernel hop's guest-to-guest Forward next to plain write
 //   2. serialization-free pointer passing vs JSON round-trip
 //   3. hose/pipe chunk-size sweep
 //   4. the WASI guest<->host copy boundary cost
@@ -14,6 +15,8 @@
 #include "api/runtime.h"
 #include "common/buffer.h"
 #include "common/rng.h"
+#include "core/payload.h"
+#include "core/transport.h"
 #include "dag/dag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -94,6 +97,53 @@ void BM_PlainWriteSend(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
 }
 BENCHMARK(BM_PlainWriteSend)->Range(64 << 10, 16 << 20);
+
+// The kernel hop end to end: one Forward of a guest-resident payload from the
+// producer's output region into a fresh input region of the target, through
+// the AF_UNIX pair on the calling thread. Read next to BM_PlainWriteSend:
+// the hop adds placement and the receive side on the same thread.
+void BM_KernelHopForward(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  const Bytes binary = runtime::BuildFunctionModuleBinary();
+  runtime::FunctionSpec spec;
+  spec.workflow = "bm";
+  spec.name = "source";
+  auto source = core::Shim::Create(spec, binary);
+  spec.name = "target";
+  auto target = core::Shim::Create(spec, binary);
+  if (!source.ok() || !target.ok()) {
+    state.SkipWithError("shim setup failed");
+    return;
+  }
+  core::Endpoint source_endpoint;
+  source_endpoint.shim = source->get();
+  core::Endpoint target_endpoint;
+  target_endpoint.shim = target->get();
+  auto hop = core::MakeKernelTransport()->Connect(
+      source_endpoint, target_endpoint, core::TransportOptions{});
+  auto address = (*source)->data().allocate_memory(static_cast<uint32_t>(size));
+  if (!hop.ok() || !address.ok() ||
+      !(*source)->data().write_memory_host(MakePayload(size), *address).ok()) {
+    state.SkipWithError("hop setup failed");
+    return;
+  }
+  // The hop leaves a guest-resident payload's region in place, so one
+  // payload serves every iteration.
+  const core::Payload payload = core::Payload::FromGuest(
+      source->get(), core::MemoryRegion{*address, static_cast<uint32_t>(size)});
+  for (auto _ : state) {
+    auto delivered = (*hop)->Forward(payload, **target);
+    if (!delivered.ok()) {
+      state.SkipWithError("forward failed");
+      break;
+    }
+    benchmark::DoNotOptimize(delivered->address);
+    benchmark::ClobberMemory();
+    (void)(*target)->ReleaseRegion(*delivered);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
+}
+BENCHMARK(BM_KernelHopForward)->Range(64 << 10, 64 << 20);
 
 // --- ablation 2: serialization-free vs JSON round trip ----------------------
 

@@ -1,5 +1,14 @@
 #include "core/kernel_channel.h"
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <string>
+#include <vector>
+
 #include "core/region_guard.h"
 #include "obs/metrics.h"
 
@@ -20,6 +29,39 @@ obs::Counter& KernelBytesReceived() {
       "rr_channel_bytes_total", "Payload bytes moved through data channels",
       {{"mode", "kernel"}, {"direction", "received"}});
   return *counter;
+}
+
+// The untransferred tail of a gather (send) or scatter (receive) list.
+struct IoCursor {
+  std::vector<iovec> iov;
+  size_t at = 0;
+
+  void Add(void* data, size_t size) {
+    if (size > 0) iov.push_back({data, size});
+  }
+  bool done() const { return at == iov.size(); }
+  msghdr Message() {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + at;
+    msg.msg_iovlen = iov.size() - at;
+    return msg;
+  }
+  // Skips `n` transferred bytes: whole entries, then part of the next.
+  void Advance(size_t n) {
+    while (at < iov.size() && n >= iov[at].iov_len) {
+      n -= iov[at].iov_len;
+      ++at;
+    }
+    if (n > 0) {
+      iov[at].iov_base = static_cast<uint8_t*>(iov[at].iov_base) + n;
+      iov[at].iov_len -= n;
+    }
+  }
+};
+
+// A non-blocking socket call that failed only for "not now".
+bool WouldBlock(int err) {
+  return err == EAGAIN || err == EWOULDBLOCK || err == EINTR;
 }
 
 }  // namespace
@@ -57,10 +99,7 @@ Status KernelChannelSender::Send(Shim& source, const MemoryRegion& region,
 }
 
 Status KernelChannelSender::SendBytes(ByteSpan data) {
-  RR_RETURN_IF_ERROR(serde::WriteFrame(conn_, data));
-  bytes_sent_ += data.size();
-  KernelBytesSent().Inc(data.size());
-  return Status::Ok();
+  return SendBytes(rr::BufferView(data));
 }
 
 Status KernelChannelSender::SendBytes(const rr::BufferView& payload) {
@@ -151,6 +190,108 @@ MakeKernelChannelPair() {
   RR_ASSIGN_OR_RETURN(auto pair, osal::ConnectedPair());
   return std::make_pair(KernelChannelSender::FromConnection(std::move(pair.first)),
                         KernelChannelReceiver::FromConnection(std::move(pair.second)));
+}
+
+Result<KernelFramePump> KernelFramePump::Create() {
+  RR_ASSIGN_OR_RETURN(auto pair, osal::ConnectedPair());
+  RR_RETURN_IF_ERROR(osal::SetNonBlocking(pair.first.fd(), true));
+  RR_RETURN_IF_ERROR(osal::SetNonBlocking(pair.second.fd(), true));
+  return KernelFramePump(std::move(pair.first), std::move(pair.second));
+}
+
+Status KernelFramePump::Transfer(const rr::BufferView& source,
+                                 MutableByteSpan dest, Nanos idle_bound) {
+  if (source.size() > serde::kMaxFrameBytes) {
+    return InvalidArgumentError("frame exceeds maximum size");
+  }
+  if (dest.size() != source.size()) {
+    return InternalError("placement returned wrong-size destination");
+  }
+  // Send side: the frame header, then every source segment, gathered.
+  // Receive side: the header as the peer reads it, then the body, scattered
+  // straight into the destination.
+  uint8_t out_header[8];
+  StoreLE<uint64_t>(out_header, source.size());
+  IoCursor out;
+  out.Add(out_header, sizeof(out_header));
+  for (size_t i = 0; i < source.segment_count(); ++i) {
+    const ByteSpan segment = source.segment(i);
+    out.Add(const_cast<uint8_t*>(segment.data()), segment.size());
+  }
+  uint8_t in_header[8];
+  IoCursor in;
+  in.Add(in_header, sizeof(in_header));
+  in.Add(dest.data(), dest.size());
+  bool header_checked = false;
+
+  const int poll_ms =
+      idle_bound <= Nanos{0}
+          ? -1
+          : static_cast<int>(std::min<int64_t>(
+                std::chrono::ceil<std::chrono::milliseconds>(idle_bound).count(),
+                INT32_MAX));
+  while (!out.done() || !in.done()) {
+    bool progressed = false;
+    if (!out.done()) {
+      msghdr msg = out.Message();
+      const ssize_t n =
+          ::sendmsg(send_end_.fd(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) {
+        out.Advance(static_cast<size_t>(n));
+        progressed = true;
+      } else if (n < 0 && !WouldBlock(errno)) {
+        return ErrnoToStatus(errno, "kernel channel sendmsg");
+      }
+    }
+    if (!in.done()) {
+      msghdr msg = in.Message();
+      const ssize_t n = ::recvmsg(recv_end_.fd(), &msg, MSG_DONTWAIT);
+      if (n > 0) {
+        in.Advance(static_cast<size_t>(n));
+        progressed = true;
+      } else if (n == 0) {
+        return DataLossError("kernel channel closed mid-frame");
+      } else if (!WouldBlock(errno)) {
+        return ErrnoToStatus(errno, "kernel channel recvmsg");
+      }
+      if (!header_checked && in.at > 0) {
+        header_checked = true;
+        const uint64_t length = LoadLE<uint64_t>(in_header);
+        if (length > serde::kMaxFrameBytes) {
+          return DataLossError("frame header announces implausible size");
+        }
+        if (length != dest.size()) {
+          return DataLossError("frame header announces " +
+                               std::to_string(length) + " bytes for a " +
+                               std::to_string(dest.size()) +
+                               "-byte destination");
+        }
+      }
+    }
+    if (progressed) continue;
+    // Neither end moved: wait for the send end to drain or the receive end
+    // to fill. POLLERR/POLLHUP wake the wait; the next syscall names them.
+    pollfd fds[2];
+    nfds_t count = 0;
+    if (!out.done()) fds[count++] = {send_end_.fd(), POLLOUT, 0};
+    fds[count++] = {recv_end_.fd(), POLLIN, 0};
+    const int ready = ::poll(fds, count, poll_ms);
+    if (ready == 0) {
+      return DeadlineExceededError("kernel channel made no progress for " +
+                                   std::to_string(poll_ms) + " ms");
+    }
+    if (ready < 0 && errno != EINTR) {
+      return ErrnoToStatus(errno, "kernel channel poll");
+    }
+  }
+  KernelBytesSent().Inc(source.size());
+  KernelBytesReceived().Inc(dest.size());
+  return Status::Ok();
+}
+
+void KernelFramePump::Shutdown() {
+  send_end_.ShutdownBoth();
+  recv_end_.ShutdownBoth();
 }
 
 }  // namespace rr::core

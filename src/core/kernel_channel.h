@@ -32,11 +32,6 @@ class KernelChannelSender {
   Status SendBytes(ByteSpan data);
   Status SendBytes(const rr::BufferView& payload);
 
-  // Arms SO_RCVTIMEO/SO_SNDTIMEO on the socket: a transfer whose peer makes
-  // no progress for `timeout` fails with kDeadlineExceeded instead of
-  // wedging the worker. Non-positive disarms.
-  Status SetWireDeadline(Nanos timeout) { return conn_.SetIoTimeouts(timeout); }
-
   uint64_t bytes_sent() const { return bytes_sent_; }
   const TransferTiming& last_timing() const { return timing_; }
 
@@ -69,9 +64,6 @@ class KernelChannelReceiver {
   Result<InvokeOutcome> ReceiveAndInvoke(Shim& target,
                                          CopyMode mode = CopyMode::kShimStaging);
 
-  // As on the sender: bounds a stalled peer with kDeadlineExceeded.
-  Status SetWireDeadline(Nanos timeout) { return conn_.SetIoTimeouts(timeout); }
-
   uint64_t bytes_received() const { return bytes_received_; }
   const TransferTiming& last_timing() const { return timing_; }
 
@@ -103,5 +95,38 @@ class KernelChannelListener {
 // still talk through a real AF_UNIX kernel buffer).
 Result<std::pair<KernelChannelSender, KernelChannelReceiver>>
 MakeKernelChannelPair();
+
+// Both ends of one in-process kernel channel, driven by the calling thread
+// alone: the kernel hop's wire. Transfer moves one [u64 length][body] frame
+// from source bytes (a producer's linear-memory view or shared host chunks)
+// straight into an already placed destination span (the target's linear
+// memory). The two ends are non-blocking: the pump interleaves sendmsg and
+// recvmsg, so a frame larger than the socket buffer drains as it fills, and
+// it polls both descriptors only when neither end makes progress. The kernel's
+// copies into and out of its socket buffer are the only byte movement — no
+// host staging buffer, no helper thread.
+class KernelFramePump {
+ public:
+  static Result<KernelFramePump> Create();
+
+  // Moves `source` into `dest` (sizes must match) as one frame. Fails with
+  // kDeadlineExceeded when neither end makes progress for `idle_bound`
+  // (non-positive = unbounded). Any failure after the first sendmsg may
+  // leave part of the frame in the socket: the caller must then stop using
+  // the pump.
+  Status Transfer(const rr::BufferView& source, MutableByteSpan dest,
+                  Nanos idle_bound);
+
+  // Shuts both ends down without closing the descriptors: a transfer in
+  // flight on another thread fails at its next syscall. Idempotent.
+  void Shutdown();
+
+ private:
+  KernelFramePump(osal::Connection send_end, osal::Connection recv_end)
+      : send_end_(std::move(send_end)), recv_end_(std::move(recv_end)) {}
+
+  osal::Connection send_end_;
+  osal::Connection recv_end_;
+};
 
 }  // namespace rr::core

@@ -10,7 +10,8 @@
 //
 // Hops pick the cheapest access per transfer: a user-space hop forwards a
 // still-guest-resident payload with the classic single guest-to-guest copy
-// (no host buffer at all), while kernel/network hops and fan-outs
+// and a kernel hop sends it as one socket frame straight from the region
+// (no host buffer at all in either), while network hops and fan-outs
 // materialize once and then read the shared chunks with zero further copies.
 //
 // Concurrency: Materialize is internally synchronized and idempotent. The

@@ -1,6 +1,7 @@
 #include "core/transport.h"
 
 #include "common/mutex.h"
+#include <atomic>
 #include <optional>
 #include <thread>
 
@@ -46,11 +47,11 @@ RegionPlacer SlicePlacer(const MemoryRegion into) {
   };
 }
 
-// Wire transfer of a host-resident payload: the sender streams the shared
-// chunks (no source shim involvement — egress already happened at
-// materialization) while the receiver delivers into the target's memory.
-// Send and receive run concurrently so a payload larger than the kernel
-// socket buffer cannot self-deadlock.
+// Wire transfer of a host-resident payload over the network loopback hop:
+// the sender streams the shared chunks (no source shim involvement — egress
+// already happened at materialization) while the receiver delivers into the
+// target's memory. Send and receive run concurrently so a payload larger
+// than the socket buffer cannot self-deadlock.
 template <typename SendFn, typename Receiver>
 Result<MemoryRegion> WireTransfer(SendFn&& send, Receiver&& receive,
                                   TransferTiming* timing,
@@ -122,43 +123,76 @@ class UserSpaceTransport : public Transport {
 };
 
 // --- kernel space -----------------------------------------------------------
+// Both shims' socket ends live in this process, so the calling thread moves
+// each frame end to end (KernelFramePump): the destination is placed first,
+// then the bytes travel from the producer's linear memory — or a
+// host-resident payload's shared chunks — through the kernel socket buffer
+// straight into the target's linear memory. Placing before the first byte is
+// sent keeps the wire in sync when placement fails; a failure once bytes are
+// on the wire kills the hop, so the executor evicts and re-establishes it.
 class KernelHop : public Hop {
  public:
-  KernelHop(KernelChannelSender sender, KernelChannelReceiver receiver)
-      : sender_(std::move(sender)), receiver_(std::move(receiver)) {}
+  KernelHop(KernelFramePump pump, Nanos idle_bound)
+      : pump_(std::move(pump)), idle_bound_(idle_bound) {}
 
   TransferMode mode() const override { return TransferMode::kKernelSpace; }
+  bool healthy() const override { return wire_ok_.load(); }
+  void Close() override {
+    wire_ok_.store(false);
+    pump_.Shutdown();
+  }
 
   Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
                                TransferTiming* timing,
                                const MemoryRegion* into) override {
-    // Egress (or the free refcounted read) happens before the wire lock: the
-    // source instance serves other runs while this pair's wire is busy.
-    TransferTiming egress{};
-    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer,
-                        payload.Materialize(&egress.wasm_io));
-    MutexLock hop_lock(mutex_);
-    MutexLock target_lock(target.exec_mutex());
-    const RegionPlacer placer = into != nullptr ? SlicePlacer(*into) : nullptr;
-    const rr::BufferView view(buffer);
-    auto delivered = WireTransfer(
-        [&] { return sender_.SendBytes(view); },
-        [&] {
-          return receiver_.ReceiveInto(target, CopyMode::kShimStaging,
-                                       into != nullptr ? &placer : nullptr);
-        },
-        timing, egress);
-    if (delivered.ok() && timing != nullptr) {
-      *timing += sender_.last_timing();
-      *timing += receiver_.last_timing();
+    if (payload.size() > UINT32_MAX) {
+      return InvalidArgumentError("frame exceeds 32-bit guest memory");
     }
-    return delivered;
+    const auto length = static_cast<uint32_t>(payload.size());
+    // A guest-resident payload is sent from the producer's registered output
+    // region and keeps it (its last handle releases it). A host-resident one
+    // (a fan-out chunk, the workflow input) shares its chunks for free.
+    Shim* const source = payload.guest_resident() ? payload.guest_shim() : nullptr;
+    rr::Buffer host;
+    if (source == nullptr) {
+      RR_ASSIGN_OR_RETURN(host, payload.Materialize());
+    }
+    MutexLock hop_lock(mutex_);
+    if (!healthy()) return UnavailableError("kernel hop wire is closed");
+    PairLock lock(source != nullptr ? *source : target, target);
+    MemoryRegion dest;
+    RegionGuard guard;
+    if (into != nullptr) {
+      RR_ASSIGN_OR_RETURN(dest, SlicePlacer(*into)(length));
+    } else {
+      RR_ASSIGN_OR_RETURN(dest, target.PrepareInput(length));
+      guard = RegionGuard(&target, dest);
+    }
+    RR_ASSIGN_OR_RETURN(const MutableByteSpan dest_span, target.InputSpan(dest));
+    // Viewed after placement: PrepareInput may grow the target's memory,
+    // which on a self-hop is also the source's.
+    rr::BufferView source_view(host);
+    if (source != nullptr) {
+      RR_ASSIGN_OR_RETURN(const ByteSpan region_view,
+                          source->OutputView(*payload.guest_region()));
+      source_view = rr::BufferView(region_view);
+    }
+    const Stopwatch transfer_timer;
+    const Status moved = pump_.Transfer(source_view, dest_span, idle_bound_);
+    if (!moved.ok()) {
+      Close();  // part of the frame may still sit in the socket
+      return moved;
+    }
+    if (timing != nullptr) timing->transfer += transfer_timer.Elapsed();
+    guard.Dismiss();
+    return dest;
   }
 
  private:
   Mutex mutex_;  // serializes concurrent transfers over this pair's wire
-  KernelChannelSender sender_;
-  KernelChannelReceiver receiver_;
+  KernelFramePump pump_;
+  const Nanos idle_bound_;
+  std::atomic<bool> wire_ok_{true};
 };
 
 class KernelTransport : public Transport {
@@ -168,11 +202,9 @@ class KernelTransport : public Transport {
   Result<std::unique_ptr<Hop>> Connect(Endpoint& /*source*/,
                                        const Endpoint& /*target*/,
                                        const TransportOptions& options) override {
-    RR_ASSIGN_OR_RETURN(auto pair, MakeKernelChannelPair());
-    RR_RETURN_IF_ERROR(pair.first.SetWireDeadline(options.transfer_deadline));
-    RR_RETURN_IF_ERROR(pair.second.SetWireDeadline(options.transfer_deadline));
+    RR_ASSIGN_OR_RETURN(KernelFramePump pump, KernelFramePump::Create());
     return std::unique_ptr<Hop>(
-        new KernelHop(std::move(pair.first), std::move(pair.second)));
+        new KernelHop(std::move(pump), options.transfer_deadline));
   }
 };
 

@@ -54,9 +54,8 @@ class Connection {
   // Arms SO_RCVTIMEO and SO_SNDTIMEO: a blocking read or send that makes no
   // progress for `timeout` fails with kDeadlineExceeded (via the EAGAIN
   // mapping in ReadExact/WriteAll). This is an *idle* bound — a peer
-  // trickling bytes resets it — which is exactly the belt the kernel-space
-  // channel wants on top of the wire plane's absolute per-transfer
-  // deadlines. Non-positive timeout disarms.
+  // trickling bytes resets it — unlike the wire plane's absolute
+  // per-transfer deadlines. Non-positive timeout disarms.
   Status SetIoTimeouts(Nanos timeout);
 
   // Shuts down the write side, signalling EOF to the peer.

@@ -399,6 +399,31 @@ TEST(KernelChannelTest, SegmentedBufferVectoredOverUnixSocket) {
   EXPECT_EQ(AsStringView(*received), "alpha|beta|gamma");
 }
 
+TEST(KernelChannelTest, ByteSpanSendReportsItsOwnTiming) {
+  // last_timing() after SendBytes(ByteSpan) describes that send, not the
+  // staged Send before it.
+  auto a = MakeShim("a");
+  auto b = MakeShim("b");
+  auto pair = MakeKernelChannelPair();
+  ASSERT_TRUE(pair.ok());
+  const MemoryRegion staged = Stage(*a, Bytes(64 * 1024, 0x11));
+  for (const bool raw_bytes : {false, true}) {
+    Status send_status;
+    std::thread sender([&] {
+      send_status = raw_bytes ? pair->first.SendBytes(AsBytes("raw bytes"))
+                              : pair->first.Send(*a, staged, CopyMode::kShimStaging);
+    });
+    auto delivered = pair->second.ReceiveInto(*b);
+    sender.join();
+    ASSERT_TRUE(send_status.ok()) << send_status;
+    ASSERT_TRUE(delivered.ok()) << delivered.status();
+  }
+  const TransferTiming& timing = pair->first.last_timing();
+  EXPECT_EQ(timing.wasm_io.count(), 0) << "stale staging time from the Send";
+  EXPECT_GT(timing.transfer.count(), 0);
+  EXPECT_EQ(pair->first.bytes_sent(), 64u * 1024 + 9);
+}
+
 TEST(KernelChannelTest, PlacerDeliversIntoProvidedSlice) {
   // The fan-in gather path: the receiver lands the frame in a caller-chosen
   // slice of a larger pre-registered region instead of a fresh allocation.

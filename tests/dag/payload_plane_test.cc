@@ -1,7 +1,8 @@
 // Zero-copy payload plane, end to end through api::Runtime: copy-complexity
 // of fan-out, zero-length payloads across all three transfer modes, payloads
-// larger than the splice path's pipe buffer, and input-buffer sharing across
-// many in-flight invocations.
+// larger than the splice path's pipe buffer, a kernel edge that moves bytes
+// guest to guest, and input-buffer sharing across many in-flight
+// invocations.
 #include <gtest/gtest.h>
 
 #include "api/runtime.h"
@@ -195,6 +196,52 @@ TEST_F(PayloadPlaneTest, SplicePathCarriesPayloadLargerThanPipeBuffer) {
   EXPECT_EQ(LoadLE<uint64_t>(digest.data()), kPayload);
   const Bytes expected(kPayload, 'p');
   EXPECT_EQ(LoadLE<uint64_t>(digest.data() + 8), Fnv1a(expected));
+}
+
+TEST_F(PayloadPlaneTest, KernelEdgeMovesGuestToGuest) {
+  // produce -> consume over a kernel-space edge at 4 MiB, more than the
+  // AF_UNIX socket buffer holds, so the hop's one thread must interleave
+  // sending and receiving. The bytes go from the producer's linear memory
+  // through the socket into the consumer's: the plane copies nothing but
+  // the sink's 16-byte digest on egress.
+  constexpr size_t kPayload = 4 * 1024 * 1024;
+  api::Runtime rt("wf");
+  auto produce = AddFunction(rt, "produce", {"n1", ""},
+                             [](ByteSpan) -> Result<Bytes> {
+                               Bytes out(kPayload);
+                               for (size_t i = 0; i < out.size(); ++i) {
+                                 out[i] = static_cast<uint8_t>(i * 131 + i / 4096);
+                               }
+                               return out;
+                             });
+  auto consume = AddFunction(rt, "consume", {"n1", ""},
+                             [](ByteSpan input) -> Result<Bytes> {
+                               Bytes digest(16);
+                               StoreLE<uint64_t>(digest.data(), input.size());
+                               StoreLE<uint64_t>(digest.data() + 8, Fnv1a(input));
+                               return digest;
+                             });
+  ASSERT_EQ(*rt.manager().ModeBetween("produce", "consume"),
+            core::TransferMode::kKernelSpace);
+  Bytes expected(kPayload);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = static_cast<uint8_t>(i * 131 + i / 4096);
+  }
+
+  const rr::Buffer input = rr::Buffer::FromString("go");
+  const uint64_t copied_before = rr::Buffer::TotalBytesCopied();
+  auto invocation = rt.Submit(api::ChainSpec{{"produce", "consume"}}, input);
+  ASSERT_TRUE(invocation.ok()) << invocation.status();
+  const Result<rr::Buffer>& result = (*invocation)->Wait();
+  const uint64_t copied = rr::Buffer::TotalBytesCopied() - copied_before;
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 16u);
+  const Bytes digest = result->ToBytes();
+  EXPECT_EQ(LoadLE<uint64_t>(digest.data()), kPayload);
+  EXPECT_EQ(LoadLE<uint64_t>(digest.data() + 8), Fnv1a(expected))
+      << "the consumer saw different bytes than the producer wrote";
+  // The sink's 16-byte egress is the run's only plane copy.
+  EXPECT_LT(copied, 64u) << "the kernel edge staged the payload on the host";
 }
 
 TEST_F(PayloadPlaneTest, HopForwardAndInvokeRunsTargetAndReleasesOnFailure) {
