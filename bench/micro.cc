@@ -98,11 +98,10 @@ void BM_PlainWriteSend(benchmark::State& state) {
 }
 BENCHMARK(BM_PlainWriteSend)->Range(64 << 10, 16 << 20);
 
-// The kernel hop end to end: one Forward of a guest-resident payload from the
+// One hop end to end: Forward of a guest-resident payload from the
 // producer's output region into a fresh input region of the target, through
-// the AF_UNIX pair on the calling thread. Read next to BM_PlainWriteSend:
-// the hop adds placement and the receive side on the same thread.
-void BM_KernelHopForward(benchmark::State& state) {
+// the transport's socket pair on the calling thread.
+void HopForward(benchmark::State& state, core::Transport& transport) {
   const size_t size = static_cast<size_t>(state.range(0));
   const Bytes binary = runtime::BuildFunctionModuleBinary();
   runtime::FunctionSpec spec;
@@ -119,8 +118,8 @@ void BM_KernelHopForward(benchmark::State& state) {
   source_endpoint.shim = source->get();
   core::Endpoint target_endpoint;
   target_endpoint.shim = target->get();
-  auto hop = core::MakeKernelTransport()->Connect(
-      source_endpoint, target_endpoint, core::TransportOptions{});
+  auto hop = transport.Connect(source_endpoint, target_endpoint,
+                               core::TransportOptions{});
   auto address = (*source)->data().allocate_memory(static_cast<uint32_t>(size));
   if (!hop.ok() || !address.ok() ||
       !(*source)->data().write_memory_host(MakePayload(size), *address).ok()) {
@@ -143,7 +142,20 @@ void BM_KernelHopForward(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
 }
+
+// The kernel hop over its AF_UNIX pair. Read next to BM_PlainWriteSend: the
+// hop adds placement and the receive side on the same thread.
+void BM_KernelHopForward(benchmark::State& state) {
+  HopForward(state, *core::MakeKernelTransport());
+}
 BENCHMARK(BM_KernelHopForward)->Range(64 << 10, 64 << 20);
+
+// The loopback network hop (a target without an agent port): the same pump
+// over a connected loopback TCP pair. Read next to BM_KernelHopForward.
+void BM_LoopbackHopForward(benchmark::State& state) {
+  HopForward(state, *core::MakeNetworkTransport());
+}
+BENCHMARK(BM_LoopbackHopForward)->Range(64 << 10, 64 << 20);
 
 // --- ablation 2: serialization-free vs JSON round trip ----------------------
 

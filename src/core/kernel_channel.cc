@@ -31,6 +31,10 @@ obs::Counter& KernelBytesReceived() {
   return *counter;
 }
 
+void Count(obs::Counter* counter, uint64_t n = 1) {
+  if (counter != nullptr) counter->Inc(n);
+}
+
 // The untransferred tail of a gather (send) or scatter (receive) list.
 struct IoCursor {
   std::vector<iovec> iov;
@@ -192,15 +196,36 @@ MakeKernelChannelPair() {
                         KernelChannelReceiver::FromConnection(std::move(pair.second)));
 }
 
-Result<KernelFramePump> KernelFramePump::Create() {
-  RR_ASSIGN_OR_RETURN(auto pair, osal::ConnectedPair());
-  RR_RETURN_IF_ERROR(osal::SetNonBlocking(pair.first.fd(), true));
-  RR_RETURN_IF_ERROR(osal::SetNonBlocking(pair.second.fd(), true));
-  return KernelFramePump(std::move(pair.first), std::move(pair.second));
+FramePump::Counters KernelPumpCounters() {
+  return {&KernelBytesSent(), &KernelBytesReceived()};
 }
 
-Status KernelFramePump::Transfer(const rr::BufferView& source,
-                                 MutableByteSpan dest, Nanos idle_bound) {
+Result<FramePump> FramePump::Create(osal::Connection send_end,
+                                    osal::Connection recv_end,
+                                    Counters counters) {
+  RR_RETURN_IF_ERROR(osal::SetNonBlocking(send_end.fd(), true));
+  RR_RETURN_IF_ERROR(osal::SetNonBlocking(recv_end.fd(), true));
+  return FramePump(std::move(send_end), std::move(recv_end), counters);
+}
+
+Status FramePump::Transfer(const rr::BufferView& source, MutableByteSpan dest,
+                           Nanos idle_bound) {
+  const Status moved = MoveFrame(source, dest, idle_bound);
+  if (!moved.ok()) {
+    if (moved.code() == StatusCode::kDeadlineExceeded) {
+      Count(counters_.deadline_expiries);
+    }
+    Count(counters_.kills);
+    return moved;
+  }
+  Count(counters_.bytes_sent, source.size());
+  Count(counters_.bytes_received, dest.size());
+  Count(counters_.frames_sent);
+  return Status::Ok();
+}
+
+Status FramePump::MoveFrame(const rr::BufferView& source, MutableByteSpan dest,
+                            Nanos idle_bound) {
   if (source.size() > serde::kMaxFrameBytes) {
     return InvalidArgumentError("frame exceeds maximum size");
   }
@@ -240,7 +265,7 @@ Status KernelFramePump::Transfer(const rr::BufferView& source,
         out.Advance(static_cast<size_t>(n));
         progressed = true;
       } else if (n < 0 && !WouldBlock(errno)) {
-        return ErrnoToStatus(errno, "kernel channel sendmsg");
+        return ErrnoToStatus(errno, "frame pump sendmsg");
       }
     }
     if (!in.done()) {
@@ -250,9 +275,9 @@ Status KernelFramePump::Transfer(const rr::BufferView& source,
         in.Advance(static_cast<size_t>(n));
         progressed = true;
       } else if (n == 0) {
-        return DataLossError("kernel channel closed mid-frame");
+        return DataLossError("frame pump: stream closed mid-frame");
       } else if (!WouldBlock(errno)) {
-        return ErrnoToStatus(errno, "kernel channel recvmsg");
+        return ErrnoToStatus(errno, "frame pump recvmsg");
       }
       if (!header_checked && in.at > 0) {
         header_checked = true;
@@ -277,19 +302,17 @@ Status KernelFramePump::Transfer(const rr::BufferView& source,
     fds[count++] = {recv_end_.fd(), POLLIN, 0};
     const int ready = ::poll(fds, count, poll_ms);
     if (ready == 0) {
-      return DeadlineExceededError("kernel channel made no progress for " +
+      return DeadlineExceededError("frame pump made no progress for " +
                                    std::to_string(poll_ms) + " ms");
     }
     if (ready < 0 && errno != EINTR) {
-      return ErrnoToStatus(errno, "kernel channel poll");
+      return ErrnoToStatus(errno, "frame pump poll");
     }
   }
-  KernelBytesSent().Inc(source.size());
-  KernelBytesReceived().Inc(dest.size());
   return Status::Ok();
 }
 
-void KernelFramePump::Shutdown() {
+void FramePump::Shutdown() {
   send_end_.ShutdownBoth();
   recv_end_.ShutdownBoth();
 }

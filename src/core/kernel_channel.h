@@ -9,6 +9,10 @@
 #include "osal/socket.h"
 #include "serde/framing.h"
 
+namespace rr::obs {
+class Counter;
+}  // namespace rr::obs
+
 namespace rr::core {
 
 // Sender half, held by the source function's shim.
@@ -96,24 +100,36 @@ class KernelChannelListener {
 Result<std::pair<KernelChannelSender, KernelChannelReceiver>>
 MakeKernelChannelPair();
 
-// Both ends of one in-process kernel channel, driven by the calling thread
-// alone: the kernel hop's wire. Transfer moves one [u64 length][body] frame
-// from source bytes (a producer's linear-memory view or shared host chunks)
+// Both ends of one in-process stream channel — an AF_UNIX pair for the
+// kernel hop, a connected loopback TCP pair for the network hop — driven by
+// the calling thread alone. Transfer moves one [u64 length][body] frame from
+// source bytes (a producer's linear-memory view or shared host chunks)
 // straight into an already placed destination span (the target's linear
 // memory). The two ends are non-blocking: the pump interleaves sendmsg and
 // recvmsg, so a frame larger than the socket buffer drains as it fills, and
 // it polls both descriptors only when neither end makes progress. The kernel's
 // copies into and out of its socket buffer are the only byte movement — no
 // host staging buffer, no helper thread.
-class KernelFramePump {
+class FramePump {
  public:
-  static Result<KernelFramePump> Create();
+  // The registry series the pump counts on, chosen by the transport that
+  // builds it. A null member is not counted.
+  struct Counters {
+    obs::Counter* bytes_sent = nullptr;
+    obs::Counter* bytes_received = nullptr;
+    obs::Counter* frames_sent = nullptr;
+    obs::Counter* deadline_expiries = nullptr;
+    obs::Counter* kills = nullptr;  // failed transfers: the pump is dead
+  };
+
+  // Takes both ends of one connected stream pair and makes them non-blocking.
+  static Result<FramePump> Create(osal::Connection send_end,
+                                  osal::Connection recv_end, Counters counters);
 
   // Moves `source` into `dest` (sizes must match) as one frame. Fails with
   // kDeadlineExceeded when neither end makes progress for `idle_bound`
-  // (non-positive = unbounded). Any failure after the first sendmsg may
-  // leave part of the frame in the socket: the caller must then stop using
-  // the pump.
+  // (non-positive = unbounded). Any failure may leave part of the frame in
+  // the socket: the caller must then stop using the pump.
   Status Transfer(const rr::BufferView& source, MutableByteSpan dest,
                   Nanos idle_bound);
 
@@ -122,11 +138,21 @@ class KernelFramePump {
   void Shutdown();
 
  private:
-  KernelFramePump(osal::Connection send_end, osal::Connection recv_end)
-      : send_end_(std::move(send_end)), recv_end_(std::move(recv_end)) {}
+  FramePump(osal::Connection send_end, osal::Connection recv_end,
+            Counters counters)
+      : send_end_(std::move(send_end)),
+        recv_end_(std::move(recv_end)),
+        counters_(counters) {}
+
+  Status MoveFrame(const rr::BufferView& source, MutableByteSpan dest,
+                   Nanos idle_bound);
 
   osal::Connection send_end_;
   osal::Connection recv_end_;
+  Counters counters_;
 };
+
+// The kernel hop's series: rr_channel_bytes_total{mode="kernel"}.
+FramePump::Counters KernelPumpCounters();
 
 }  // namespace rr::core

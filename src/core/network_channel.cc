@@ -46,7 +46,7 @@ obs::Counter& WireDeadlineExpiries() {
 obs::Counter& WireChannelKills() {
   static obs::Counter* counter = obs::Registry::Get().counter(
       "rr_wire_channel_kills_total",
-      "Sender channels killed by a desynced transfer");
+      "Network channels killed by a failed transfer");
   return *counter;
 }
 
@@ -76,6 +76,11 @@ constexpr uint8_t kMaxWireStatusCode =
     static_cast<uint8_t>(StatusCode::kTokenMismatch);
 
 }  // namespace
+
+FramePump::Counters NetworkPumpCounters() {
+  return {&WireBytesSent(), &WireBytesReceived(), &WireFramesSent(),
+          &WireDeadlineExpiries(), &WireChannelKills()};
+}
 
 Result<VirtualDataHose> VirtualDataHose::Create(size_t pipe_capacity) {
   RR_ASSIGN_OR_RETURN(osal::Pipe pipe, osal::Pipe::Create(pipe_capacity));
@@ -375,13 +380,12 @@ Result<MemoryRegion> NetworkChannelReceiver::ReceiveBody(
 
 Result<MemoryRegion> NetworkChannelReceiver::ReceiveInto(Shim& target,
                                                          CopyMode mode,
-                                                         uint64_t* token,
-                                                         const RegionPlacer* place) {
+                                                         uint64_t* token) {
   RR_ASSIGN_OR_RETURN(
       const FrameInfo frame,
       ReceiveHeader(osal::DeadlineAfter(transfer_deadline_)));
   if (token != nullptr) *token = frame.token;
-  return ReceiveBody(frame, target, mode, place);
+  return ReceiveBody(frame, target, mode);
 }
 
 Result<InvokeOutcome> NetworkChannelReceiver::ReceiveAndInvoke(Shim& target,

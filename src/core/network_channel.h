@@ -2,7 +2,8 @@
 // exchange data through a *virtual data hose* — a pipe populated from the
 // function's memory with vmsplice(2) and drained into a TCP socket with
 // splice(2), so payload bytes are never copied between user and kernel
-// space on the send path.
+// space on the send path. The paper-figure drivers use it; the runtime's
+// loopback network hop is a FramePump (core/kernel_channel.h) instead.
 //
 //   source shim: read_memory_host -> vmsplice -> pipe -> splice -> socket
 //   target shim: socket -> splice -> pipe -> read -> write into Wasm VM
@@ -26,9 +27,8 @@
 //    (The old protocol was a single magic byte acked before the paper path
 //    even placed the region.)
 //  * Every blocking wait — header, body chunk, ack — is bounded by a
-//    per-transfer deadline (set_transfer_deadline; threaded from
-//    TransportOptions / api::Runtime::Options). A peer that dies or stalls
-//    mid-transfer surfaces as kDeadlineExceeded/kDataLoss within the bound.
+//    per-transfer deadline (set_transfer_deadline). A peer that dies or
+//    stalls mid-transfer surfaces as kDeadlineExceeded/kDataLoss in time.
 //  * A receiver that must fail a frame WITHOUT desyncing the channel drains
 //    the body first (the placement-failure paths), so one bad
 //    transfer does not kill the connection for the transfers behind it. Only
@@ -41,6 +41,7 @@
 #include <atomic>
 #include <string>
 
+#include "core/kernel_channel.h"
 #include "core/region_guard.h"
 #include "core/shim.h"
 #include "osal/pipe.h"
@@ -125,16 +126,12 @@ class NetworkChannelSender {
   Status SendBuffer(const rr::BufferView& payload, uint64_t token = 0);
 
   // Bounds every blocking wait of one transfer (body send, ack). Zero or
-  // negative = unbounded (the default, for compatibility with bare channel
-  // users; the transport layer always sets it).
+  // negative = unbounded (the default).
   void set_transfer_deadline(Nanos timeout) { transfer_deadline_ = timeout; }
-  Nanos transfer_deadline() const { return transfer_deadline_; }
 
   // False once the wire died — killed by a transfer that failed without a
-  // decoded ack (indeterminate ack stream).
-  // A caching layer uses this to decide whether a failed transfer poisoned
-  // the channel (evict, reconnect) or left it healthy (a typed in-sync
-  // refusal: keep serving, other transfers on this hop are unaffected).
+  // decoded ack (indeterminate ack stream). A typed in-sync refusal leaves
+  // the channel healthy.
   bool wire_ok() const { return wire_ok_.load(std::memory_order_relaxed); }
 
   uint64_t bytes_sent() const { return bytes_sent_; }
@@ -212,12 +209,10 @@ class NetworkChannelReceiver {
   // Algorithm 1, target side: splice from the socket into the hose,
   // allocate_memory(length) in the target, write into its linear memory.
   // One-shot header+body; `token`, when non-null, receives the frame's
-  // correlation token. A non-null `place` overrides the allocation: the
-  // payload lands in the region it returns (a fan-in gather slice).
+  // correlation token.
   Result<MemoryRegion> ReceiveInto(Shim& target,
                                    CopyMode mode = CopyMode::kShimStaging,
-                                   uint64_t* token = nullptr,
-                                   const RegionPlacer* place = nullptr);
+                                   uint64_t* token = nullptr);
   Result<InvokeOutcome> ReceiveAndInvoke(Shim& target,
                                          CopyMode mode = CopyMode::kShimStaging,
                                          uint64_t* token = nullptr);
@@ -225,7 +220,6 @@ class NetworkChannelReceiver {
   // Bounds every blocking wait of one transfer (body, ack write; the header
   // too on the one-shot ReceiveInto path). Zero or negative = unbounded.
   void set_transfer_deadline(Nanos timeout) { transfer_deadline_ = timeout; }
-  Nanos transfer_deadline() const { return transfer_deadline_; }
 
   uint64_t bytes_received() const { return bytes_received_; }
   const TransferTiming& last_timing() const { return timing_; }
@@ -269,5 +263,10 @@ class NetworkChannelListener {
 
   osal::TcpListener listener_;
 };
+
+// The rr_wire_* series, for the loopback network hop's frame pump: bytes and
+// frames as the hose counts them, an idle-bound expiry as a deadline expiry,
+// and a failed transfer as a channel kill.
+FramePump::Counters NetworkPumpCounters();
 
 }  // namespace rr::core

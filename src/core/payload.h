@@ -10,9 +10,10 @@
 //
 // Hops pick the cheapest access per transfer: a user-space hop forwards a
 // still-guest-resident payload with the classic single guest-to-guest copy
-// and a kernel hop sends it as one socket frame straight from the region
-// (no host buffer at all in either), while network hops and fan-outs
-// materialize once and then read the shared chunks with zero further copies.
+// and a kernel or loopback network hop sends it as one socket frame straight
+// from the region (no host buffer at all in either), while agent hops and
+// fan-outs materialize once and then read the shared chunks with zero
+// further copies.
 //
 // Concurrency: Materialize is internally synchronized and idempotent. The
 // guest_shim()/guest_region() fast-path accessors are for a payload's single

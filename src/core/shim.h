@@ -39,10 +39,10 @@ struct InvokeOutcome {
 //
 // kDirectGuest is this library's extension: the channel references the
 // bounds-checked linear-memory pages directly (splice maps them into the
-// kernel), eliminating the staging copy. It is what the kernel hop
-// (core/transport.h) runs: one frame from the producer's output region
-// straight into the target's placed input region. kShimStaging stays as the
-// paper path the figure drivers measure.
+// kernel), eliminating the staging copy. It is what the kernel and loopback
+// network hops (core/transport.h) run: one frame from the producer's output
+// region straight into the target's placed input region. kShimStaging stays
+// as the paper path the figure drivers measure.
 enum class CopyMode { kShimStaging, kDirectGuest };
 
 // Wall-clock attribution of one channel operation, matching the latency

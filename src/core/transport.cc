@@ -2,8 +2,6 @@
 
 #include "common/mutex.h"
 #include <atomic>
-#include <optional>
-#include <thread>
 
 #include <map>
 
@@ -33,37 +31,6 @@ class PairLock {
  private:
   MutexPairLock both_;
 };
-
-// Pins a fan-in gather slice as the receive destination: the frame length
-// must match the slice the executor carved out of the merged region.
-RegionPlacer SlicePlacer(const MemoryRegion into) {
-  return [into](uint32_t length) -> Result<MemoryRegion> {
-    if (length != into.length) {
-      return InternalError("fan-in slice length mismatch: frame carries " +
-                           std::to_string(length) + " bytes for a " +
-                           std::to_string(into.length) + "-byte slice");
-    }
-    return into;
-  };
-}
-
-// Wire transfer of a host-resident payload over the network loopback hop:
-// the sender streams the shared chunks (no source shim involvement — egress
-// already happened at materialization) while the receiver delivers into the
-// target's memory. Send and receive run concurrently so a payload larger
-// than the socket buffer cannot self-deadlock.
-template <typename SendFn, typename Receiver>
-Result<MemoryRegion> WireTransfer(SendFn&& send, Receiver&& receive,
-                                  TransferTiming* timing,
-                                  const TransferTiming& egress) {
-  Status send_status;
-  std::thread send_thread([&] { send_status = send(); });
-  auto delivered = receive();
-  send_thread.join();
-  RR_RETURN_IF_ERROR(send_status);
-  if (delivered.ok() && timing != nullptr) *timing += egress;
-  return delivered;
-}
 
 // --- user space -------------------------------------------------------------
 // Channel construction is two pointer assignments; the hop holds no wire
@@ -122,20 +89,22 @@ class UserSpaceTransport : public Transport {
   }
 };
 
-// --- kernel space -----------------------------------------------------------
-// Both shims' socket ends live in this process, so the calling thread moves
-// each frame end to end (KernelFramePump): the destination is placed first,
-// then the bytes travel from the producer's linear memory — or a
-// host-resident payload's shared chunks — through the kernel socket buffer
-// straight into the target's linear memory. Placing before the first byte is
-// sent keeps the wire in sync when placement fails; a failure once bytes are
-// on the wire kills the hop, so the executor evicts and re-establishes it.
-class KernelHop : public Hop {
+// --- kernel space and loopback network -------------------------------------
+// Both socket ends live in this process — an AF_UNIX pair for a kernel hop, a
+// connected loopback TCP pair for a network hop whose target has no agent —
+// so the calling thread moves each frame end to end (FramePump): the
+// destination is placed first, then the bytes travel from the producer's
+// linear memory — or a host-resident payload's shared chunks — through the
+// kernel socket buffer straight into the target's linear memory. Placing
+// before the first byte is sent keeps the wire in sync when placement fails;
+// a failure once bytes are on the wire kills the hop, so the executor evicts
+// and re-establishes it.
+class PumpHop : public Hop {
  public:
-  KernelHop(KernelFramePump pump, Nanos idle_bound)
-      : pump_(std::move(pump)), idle_bound_(idle_bound) {}
+  PumpHop(TransferMode mode, FramePump pump, Nanos idle_bound)
+      : mode_(mode), pump_(std::move(pump)), idle_bound_(idle_bound) {}
 
-  TransferMode mode() const override { return TransferMode::kKernelSpace; }
+  TransferMode mode() const override { return mode_; }
   bool healthy() const override { return wire_ok_.load(); }
   void Close() override {
     wire_ok_.store(false);
@@ -158,12 +127,19 @@ class KernelHop : public Hop {
       RR_ASSIGN_OR_RETURN(host, payload.Materialize());
     }
     MutexLock hop_lock(mutex_);
-    if (!healthy()) return UnavailableError("kernel hop wire is closed");
+    if (!healthy()) return UnavailableError("hop wire is closed");
     PairLock lock(source != nullptr ? *source : target, target);
     MemoryRegion dest;
     RegionGuard guard;
     if (into != nullptr) {
-      RR_ASSIGN_OR_RETURN(dest, SlicePlacer(*into)(length));
+      // A fan-in gather slice: the frame must fill exactly the slice the
+      // executor carved out of the merged region.
+      if (length != into->length) {
+        return InternalError("fan-in slice length mismatch: frame carries " +
+                             std::to_string(length) + " bytes for a " +
+                             std::to_string(into->length) + "-byte slice");
+      }
+      dest = *into;
     } else {
       RR_ASSIGN_OR_RETURN(dest, target.PrepareInput(length));
       guard = RegionGuard(&target, dest);
@@ -189,8 +165,9 @@ class KernelHop : public Hop {
   }
 
  private:
+  const TransferMode mode_;
   Mutex mutex_;  // serializes concurrent transfers over this pair's wire
-  KernelFramePump pump_;
+  FramePump pump_;
   const Nanos idle_bound_;
   std::atomic<bool> wire_ok_{true};
 };
@@ -202,56 +179,21 @@ class KernelTransport : public Transport {
   Result<std::unique_ptr<Hop>> Connect(Endpoint& /*source*/,
                                        const Endpoint& /*target*/,
                                        const TransportOptions& options) override {
-    RR_ASSIGN_OR_RETURN(KernelFramePump pump, KernelFramePump::Create());
+    RR_ASSIGN_OR_RETURN(auto ends, osal::ConnectedPair());
+    RR_ASSIGN_OR_RETURN(FramePump pump,
+                        FramePump::Create(std::move(ends.first),
+                                          std::move(ends.second),
+                                          KernelPumpCounters()));
     return std::unique_ptr<Hop>(
-        new KernelHop(std::move(pump), options.transfer_deadline));
+        new PumpHop(mode(), std::move(pump), options.transfer_deadline));
   }
 };
 
 // --- network ----------------------------------------------------------------
 // Two shapes, chosen by the target's ingress at Connect time: a loopback hop
-// (target port 0) holds both channel halves in-process and behaves like a
-// kernel hop over TCP; an agent hop (port != 0) opens streams on the remote
-// NodeAgent, which owns receive + invoke (§4.3, Algorithm 1).
-class NetworkLoopbackHop : public Hop {
- public:
-  NetworkLoopbackHop(NetworkChannelSender sender, NetworkChannelReceiver receiver)
-      : sender_(std::move(sender)), receiver_(std::move(receiver)) {}
-
-  TransferMode mode() const override { return TransferMode::kNetwork; }
-  bool healthy() const override { return sender_.wire_ok(); }
-
-  Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
-                               TransferTiming* timing,
-                               const MemoryRegion* into) override {
-    TransferTiming egress{};
-    RR_ASSIGN_OR_RETURN(const rr::Buffer buffer,
-                        payload.Materialize(&egress.wasm_io));
-    MutexLock hop_lock(mutex_);
-    MutexLock target_lock(target.exec_mutex());
-    const RegionPlacer placer = into != nullptr ? SlicePlacer(*into) : nullptr;
-    const rr::BufferView view(buffer);
-    auto delivered = WireTransfer(
-        [&] { return sender_.SendBuffer(view); },
-        [&] {
-          return receiver_.ReceiveInto(target, CopyMode::kShimStaging,
-                                       /*token=*/nullptr,
-                                       into != nullptr ? &placer : nullptr);
-        },
-        timing, egress);
-    if (delivered.ok() && timing != nullptr) {
-      *timing += sender_.last_timing();
-      *timing += receiver_.last_timing();
-    }
-    return delivered;
-  }
-
- private:
-  Mutex mutex_;
-  NetworkChannelSender sender_;
-  NetworkChannelReceiver receiver_;
-};
-
+// (target port 0) is a PumpHop over TCP, counted on the wire series; an agent
+// hop (port != 0) opens streams on the remote NodeAgent, which owns receive +
+// invoke (§4.3, Algorithm 1).
 // The agent hop: a thin facade over the per-agent MuxClient that the
 // transport shares across every (source, target) pair bound for the same
 // host:port. Dispatch is fully async — DispatchAsync's callback carries the
@@ -318,18 +260,20 @@ class NetworkTransport : public Transport {
                                        const Endpoint& target,
                                        const TransportOptions& options) override {
     if (target.port == 0) {
-      // No external ingress registered: create a loopback listener on demand
-      // (the in-process stand-in for the remote node's shim port).
-      RR_ASSIGN_OR_RETURN(NetworkChannelListener listener,
-                          NetworkChannelListener::Bind(0));
+      // No external ingress registered: connect a loopback TCP pair on
+      // demand (the in-process stand-in for the remote node's shim port).
+      RR_ASSIGN_OR_RETURN(osal::TcpListener listener,
+                          osal::TcpListener::Bind(0));
+      RR_ASSIGN_OR_RETURN(osal::Connection send_end,
+                          osal::TcpConnect(target.host, listener.port()));
+      send_end.SetNoDelay(true);
+      RR_ASSIGN_OR_RETURN(osal::Connection recv_end, listener.Accept());
       RR_ASSIGN_OR_RETURN(
-          NetworkChannelSender sender,
-          NetworkChannelSender::Connect(target.host, listener.port()));
-      RR_ASSIGN_OR_RETURN(NetworkChannelReceiver receiver, listener.Accept());
-      sender.set_transfer_deadline(options.transfer_deadline);
-      receiver.set_transfer_deadline(options.transfer_deadline);
+          FramePump pump,
+          FramePump::Create(std::move(send_end), std::move(recv_end),
+                            NetworkPumpCounters()));
       return std::unique_ptr<Hop>(
-          new NetworkLoopbackHop(std::move(sender), std::move(receiver)));
+          new PumpHop(mode(), std::move(pump), options.transfer_deadline));
     }
     // Route through the target node's agent: one shared client (one
     // connection, one reactor) per remote agent, every pair's transfers

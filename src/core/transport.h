@@ -6,13 +6,13 @@
 //
 // A Transport knows how to *establish* a channel for its mode; a Hop is one
 // established, cached channel between a (source, target) pair. Hops speak
-// the zero-copy payload plane (core/payload.h): user and kernel hops move a
-// guest-resident payload straight from the producer's linear memory into the
-// target's (the single user-space copy / one kernel socket frame on the
-// calling thread), while a host-resident payload — the shared chunk an N-way
-// fan-out hands to every successor — is read zero-copy from its ref-counted
-// storage, with kernel and network backends performing vectored writes over
-// the chunks.
+// the zero-copy payload plane (core/payload.h): user, kernel and loopback
+// network hops move a guest-resident payload straight from the producer's
+// linear memory into the target's (the single user-space copy / one socket
+// frame on the calling thread), while a host-resident payload — the shared
+// chunk an N-way fan-out hands to every successor — is read zero-copy from
+// its ref-counted storage, with kernel and network backends performing
+// vectored writes over the chunks.
 //
 // Hops are internally synchronized: concurrent workflow invocations may
 // forward over the same hop (a hop's single wire is what they serialize
@@ -35,17 +35,11 @@ namespace rr::core {
 // Threaded HopTable -> Transport::Connect so api::Runtime::Options can set
 // them once for every channel of a workflow.
 struct TransportOptions {
-  // Bound on one transfer's blocking waits (header/body/ack on the network
-  // plane; the kernel hop's idle bound — how long its pump may poll with
-  // neither socket end making progress). A dead or stalled peer surfaces as
+  // Progress bound on one transfer: how long a hop may wait with its wire
+  // making no progress — the kernel and loopback network hops' pump poll, an
+  // agent hop's body drain. A dead or stalled peer surfaces as
   // kDeadlineExceeded within this bound instead of hanging the transfer.
   // Non-positive = unbounded.
-  //
-  // On the network plane this is an ABSOLUTE per-transfer bound, armed at
-  // frame start — not a progress bound like the kernel hop's. Size it to the
-  // largest frame you expect over the slowest link (a multi-GiB frame over a
-  // slow WAN legitimately takes minutes); the 30 s default comfortably covers
-  // paper-scale payloads on the emulated 100 Mbps testbed.
   Nanos transfer_deadline = std::chrono::seconds(30);
 };
 
@@ -101,11 +95,11 @@ class Hop {
                                TransferTiming* timing, DispatchDoneFn done);
 
   // False once the hop's underlying wire has died — torn down by Close, or
-  // killed by a transfer that failed without a decoded ack (network) or with
-  // part of a frame on the wire (kernel). A failed transfer on a healthy hop
-  // (a typed in-sync rejection, a placement failure) leaves healthy() true:
-  // callers must NOT evict such hops, or they collapse the other transfers
-  // sharing the channel. Wireless (user-space) hops are always healthy.
+  // killed by a transfer that failed with part of a frame on the wire. A
+  // failed transfer on a healthy hop (a typed in-sync rejection, a placement
+  // failure) leaves healthy() true: callers must NOT evict such hops, or they
+  // collapse the other transfers sharing the channel. Wireless (user-space)
+  // hops are always healthy.
   virtual bool healthy() const { return true; }
 
   // Kills the underlying wire (idempotent) without invalidating the object:

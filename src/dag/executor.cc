@@ -223,9 +223,9 @@ Status DagExecutor::RunLocalNode(
            static_cast<int64_t>(dag.node(pred).succs.size());
   };
 
-  // A Forward whose wire died (a deadline expiry without a decoded ack shut
-  // a network loopback hop's channel down; an I/O failure mid-frame killed a
-  // kernel hop) leaves the hop dead in the cache: evict so the next run
+  // A Forward whose wire died (an idle-bound expiry or an I/O failure
+  // mid-frame killed a kernel or loopback network hop) leaves the hop dead
+  // in the cache: evict so the next run
   // re-establishes instead of failing forever. Wireless (user-space) hops,
   // placement failures and typed in-sync refusals stay cached.
   const auto evict_if_dead = [&](Hop& hop) {

@@ -1,7 +1,7 @@
 // Zero-copy payload plane, end to end through api::Runtime: copy-complexity
 // of fan-out, zero-length payloads across all three transfer modes, payloads
-// larger than the splice path's pipe buffer, a kernel edge that moves bytes
-// guest to guest, and input-buffer sharing across many in-flight
+// larger than the hose's pipe buffer, kernel and loopback network edges that
+// move bytes guest to guest, and input-buffer sharing across many in-flight
 // invocations.
 #include <gtest/gtest.h>
 
@@ -109,7 +109,7 @@ TEST_F(PayloadPlaneTest, UserSpaceFanOutPerformsO1PayloadCopies) {
 
 TEST_F(PayloadPlaneTest, ZeroLengthPayloadsCrossAllThreeModes) {
   // An empty function output must survive every transfer mechanism: the
-  // user-space copy, the kernel-socket frame, and the network hose frame.
+  // user-space copy, the kernel-socket frame, and the loopback TCP frame.
   struct ModeCase {
     const char* name;
     Location source_location;
@@ -175,8 +175,10 @@ TEST_F(PayloadPlaneTest, ZeroLengthLegsInFanInGather) {
 }
 
 TEST_F(PayloadPlaneTest, SplicePathCarriesPayloadLargerThanPipeBuffer) {
-  // The virtual data hose's pipe holds 1 MiB; a 3 MiB payload must chunk
-  // through vmsplice/splice without loss, through the real network-mode hop.
+  // A 3 MiB payload, more than the virtual data hose's 1 MiB pipe, crosses
+  // the real network-mode hop intact. With no agent port the hop is the
+  // loopback frame pump, not the hose; the hose's larger-than-pipe case is
+  // NetworkChannelTest.SegmentedBufferLargerThanPipeTravelsAsOneFrame.
   constexpr size_t kPayload = 3 * 1024 * 1024;
   api::Runtime rt("wf");
   auto a = AddFunction(rt, "a", {"n1", ""}, ProduceBytes(kPayload));
@@ -242,6 +244,71 @@ TEST_F(PayloadPlaneTest, KernelEdgeMovesGuestToGuest) {
       << "the consumer saw different bytes than the producer wrote";
   // The sink's 16-byte egress is the run's only plane copy.
   EXPECT_LT(copied, 64u) << "the kernel edge staged the payload on the host";
+}
+
+TEST_F(PayloadPlaneTest, NetworkFanInMovesGuestToGuest) {
+  // split -> {a, b, c} -> join, with join on another node and no agent port:
+  // each fan-in leg crosses a loopback network hop at 2 MiB, more than a
+  // loopback socket buffer holds. Every leg goes from its producer's linear
+  // memory through the socket into its slice of join's gather region: the
+  // plane copies only the fan-out's one egress and the sink's digest.
+  constexpr size_t kSplitBytes = 4096;
+  constexpr size_t kLeg = 2 * 1024 * 1024;
+  const auto leg_bytes = [](uint8_t seed) {
+    Bytes out(kLeg);
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<uint8_t>(i * seed + i / 4096);
+    }
+    return out;
+  };
+  const auto produce_leg = [leg_bytes](uint8_t seed) -> runtime::NativeHandler {
+    return [leg_bytes, seed](ByteSpan input) -> Result<Bytes> {
+      if (input.size() != kSplitBytes) return InternalError("bad split output");
+      return leg_bytes(seed);
+    };
+  };
+  api::Runtime rt("wf");
+  auto split = AddFunction(rt, "split", {"n1", ""}, ProduceBytes(kSplitBytes));
+  auto a = AddFunction(rt, "a", {"n1", ""}, produce_leg(3));
+  auto b = AddFunction(rt, "b", {"n1", ""}, produce_leg(5));
+  auto c = AddFunction(rt, "c", {"n1", ""}, produce_leg(7));
+  auto join = AddFunction(rt, "join", {"n2", ""},
+                          [](ByteSpan input) -> Result<Bytes> {
+                            Bytes digest(16);
+                            StoreLE<uint64_t>(digest.data(), input.size());
+                            StoreLE<uint64_t>(digest.data() + 8, Fnv1a(input));
+                            return digest;
+                          });
+  for (const char* leg : {"a", "b", "c"}) {
+    ASSERT_EQ(*rt.manager().ModeBetween(leg, "join"),
+              core::TransferMode::kNetwork);
+  }
+  auto dag = DagBuilder("network-fan-in")
+                 .AddNode("split")
+                 .FanOut("split", {"a", "b", "c"})
+                 .FanIn({"a", "b", "c"}, "join")
+                 .Build();
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  Bytes expected;
+  for (const uint8_t seed : {3, 5, 7}) {
+    const Bytes leg = leg_bytes(seed);
+    expected.insert(expected.end(), leg.begin(), leg.end());
+  }
+
+  const rr::Buffer input = rr::Buffer::FromString("go");
+  const uint64_t copied_before = rr::Buffer::TotalBytesCopied();
+  auto invocation = rt.Submit(api::DagSpec{*dag}, input);
+  ASSERT_TRUE(invocation.ok()) << invocation.status();
+  const Result<rr::Buffer>& result = (*invocation)->Wait();
+  const uint64_t copied = rr::Buffer::TotalBytesCopied() - copied_before;
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 16u);
+  const Bytes digest = result->ToBytes();
+  EXPECT_EQ(LoadLE<uint64_t>(digest.data()), 3 * kLeg);
+  EXPECT_EQ(LoadLE<uint64_t>(digest.data() + 8), Fnv1a(expected))
+      << "join saw different bytes than the legs wrote";
+  EXPECT_EQ(copied, kSplitBytes + 16)
+      << "a fan-in leg staged its payload on the host";
 }
 
 TEST_F(PayloadPlaneTest, HopForwardAndInvokeRunsTargetAndReleasesOnFailure) {

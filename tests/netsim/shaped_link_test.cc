@@ -60,6 +60,12 @@ TEST(ShapedLinkTest, ForwardsDataIntact) {
   ASSERT_TRUE(conn->Receive(echoed).ok());
   writer.join();
   EXPECT_EQ(Fnv1a(echoed), Fnv1a(payload));
+  // The link counts a chunk only after writing it, so the echo can arrive
+  // before the forwarding thread has counted its last chunk.
+  const TimePoint give_up = Now() + std::chrono::seconds(5);
+  while ((*link)->bytes_forwarded() < 2 * payload.size() && Now() < give_up) {
+    PreciseSleep(std::chrono::milliseconds(1));
+  }
   EXPECT_GE((*link)->bytes_forwarded(), 2 * payload.size());
 }
 
