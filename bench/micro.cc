@@ -5,7 +5,8 @@
 //   2. serialization-free pointer passing vs JSON round-trip
 //   3. hose/pipe chunk-size sweep
 //   4. the WASI guest<->host copy boundary cost
-// plus runtime primitives (interpreter dispatch, guest allocator).
+// plus runtime primitives (interpreter dispatch, guest allocator, sandbox
+// creation, linear-memory growth).
 //   5. the zero-copy payload plane: fan-out width sweep reporting the
 //      plane's bytes-copied per run (O(1) in width, not O(N))
 #include <benchmark/benchmark.h>
@@ -287,6 +288,43 @@ void BM_GuestAllocator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GuestAllocator);
+
+// A warm pool instance's cost: decode, instantiate (32 initial pages) and
+// deploy the function module.
+void BM_SandboxCreate(benchmark::State& state) {
+  const Bytes binary = runtime::BuildFunctionModuleBinary();
+  runtime::FunctionSpec spec;
+  spec.name = "bm";
+  spec.workflow = "bm";
+  for (auto _ : state) {
+    auto sandbox = runtime::WasmSandbox::Create(spec, binary);
+    if (!sandbox.ok() ||
+        !(*sandbox)->Deploy([](ByteSpan) -> Result<Bytes> { return Bytes{}; }).ok()) {
+      state.SkipWithError("sandbox failed");
+      break;
+    }
+    benchmark::DoNotOptimize(sandbox->get());
+  }
+}
+BENCHMARK(BM_SandboxCreate);
+
+// memory.grow from the sandbox's 32 initial pages to range(0) pages in
+// 64-page steps; the memory's creation and release are timed too.
+void BM_MemoryGrow(benchmark::State& state) {
+  const uint32_t target = static_cast<uint32_t>(state.range(0));
+  for (auto _ : state) {
+    wasm::LinearMemory memory({.min_pages = 32});
+    while (memory.pages() < target) {
+      if (memory.Grow(std::min(64u, target - memory.pages())) < 0) {
+        state.SkipWithError("grow refused");
+        break;
+      }
+    }
+    benchmark::DoNotOptimize(memory.MutableSlice(0, 1)->data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MemoryGrow)->Arg(1024)->Arg(4096);
 
 void BM_ShimDeliverInvoke(benchmark::State& state) {
   const size_t size = static_cast<size_t>(state.range(0));

@@ -5,7 +5,7 @@
 namespace rr::wasm {
 namespace {
 
-uint32_t AlignUp(uint32_t v, uint32_t alignment) {
+uint64_t AlignUp(uint64_t v, uint64_t alignment) {
   return (v + alignment - 1) & ~(alignment - 1);
 }
 
@@ -13,7 +13,7 @@ uint32_t AlignUp(uint32_t v, uint32_t alignment) {
 
 GuestAllocator::GuestAllocator(LinearMemory* memory, uint32_t heap_base)
     : memory_(memory),
-      heap_base_(AlignUp(heap_base, kAlign)),
+      heap_base_(static_cast<uint32_t>(AlignUp(heap_base, kAlign))),
       heap_end_(heap_base_) {}
 
 Result<uint32_t> GuestAllocator::ReadSize(uint32_t header) const {
@@ -38,8 +38,8 @@ Status GuestAllocator::WriteNext(uint32_t header, uint32_t next) {
 }
 
 Status GuestAllocator::GrowHeap(uint32_t min_extra_bytes) {
-  const uint32_t needed = AlignUp(min_extra_bytes, kWasmPageSize);
-  uint32_t delta_pages = needed / kWasmPageSize;
+  uint32_t delta_pages =
+      static_cast<uint32_t>(AlignUp(min_extra_bytes, kWasmPageSize) / kWasmPageSize);
 
   // Claim any memory that already exists past heap_end_ first.
   const uint64_t existing_slack = memory_->byte_size() - heap_end_;
@@ -98,7 +98,14 @@ Status GuestAllocator::InsertFree(uint32_t header) {
 
 Result<uint32_t> GuestAllocator::Allocate(uint32_t size) {
   if (size == 0) return InvalidArgumentError("guest allocation of 0 bytes");
-  const uint32_t want = std::max(AlignUp(size, kAlign), kMinPayload);
+  // Sized in 64 bits: near 4 GiB the aligned size and header wrap a uint32_t.
+  const uint64_t aligned = std::max<uint64_t>(AlignUp(size, kAlign), kMinPayload);
+  const uint64_t max_bytes =
+      static_cast<uint64_t>(memory_->limits().max_pages) * kWasmPageSize;
+  if (uint64_t{heap_base_} + kHeaderSize + aligned > max_bytes) {
+    return ResourceExhaustedError("guest heap: allocation exceeds memory maximum");
+  }
+  const uint32_t want = static_cast<uint32_t>(aligned);
 
   for (int attempt = 0; attempt < 2; ++attempt) {
     // First fit.

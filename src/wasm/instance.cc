@@ -35,10 +35,10 @@ Result<std::unique_ptr<Instance>> Instance::Instantiate(
   if (module.memory.has_value()) {
     Limits limits = *module.memory;
     if (config.max_memory_pages.has_value()) {
-      limits.has_max = true;
       limits.max_pages = std::min(config.max_memory_pages.value(),
                                   limits.has_max ? limits.max_pages
                                                  : kDefaultMaxPages);
+      limits.has_max = true;
       if (limits.max_pages < limits.min_pages) {
         return InvalidArgumentError("memory limit below module minimum");
       }

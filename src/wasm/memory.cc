@@ -1,6 +1,8 @@
 #include "wasm/memory.h"
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 namespace rr::wasm {
 
@@ -9,15 +11,25 @@ LinearMemory::LinearMemory(Limits limits) : limits_(limits), pages_(limits.min_p
     limits_.has_max = true;
     limits_.max_pages = kDefaultMaxPages;
   }
-  bytes_.resize(byte_size());
+  data_ = static_cast<uint8_t*>(std::calloc(byte_size(), 1));
+  if (data_ == nullptr && byte_size() != 0) throw std::bad_alloc();
 }
+
+LinearMemory::~LinearMemory() { std::free(data_); }
 
 int32_t LinearMemory::Grow(uint32_t delta_pages) {
   const uint64_t target = static_cast<uint64_t>(pages_) + delta_pages;
   if (target > limits_.max_pages) return -1;
+  const size_t old_size = byte_size();
+  const size_t new_size = static_cast<size_t>(target) * kWasmPageSize;
+  if (new_size != old_size) {
+    void* grown = std::realloc(data_, new_size);
+    if (grown == nullptr) return -1;
+    data_ = static_cast<uint8_t*>(grown);
+    std::memset(data_ + old_size, 0, new_size - old_size);
+  }
   const uint32_t old_pages = pages_;
   pages_ = static_cast<uint32_t>(target);
-  bytes_.resize(byte_size());
   return static_cast<int32_t>(old_pages);
 }
 
@@ -29,7 +41,7 @@ Status LinearMemory::Read(uint64_t addr, MutableByteSpan out) const {
   }
   // memcpy requires non-null pointers even for n=0, and an empty span's
   // data() is null (zero-length payloads are legal on the data plane).
-  if (!out.empty()) std::memcpy(out.data(), bytes_.data() + addr, out.size());
+  if (!out.empty()) std::memcpy(out.data(), data_ + addr, out.size());
   host_bytes_read_.fetch_add(out.size(), std::memory_order_relaxed);
   return Status::Ok();
 }
@@ -40,7 +52,7 @@ Status LinearMemory::Write(uint64_t addr, ByteSpan data) {
                         "host write [" + std::to_string(addr) + ", +" +
                             std::to_string(data.size()) + ")");
   }
-  if (!data.empty()) std::memcpy(bytes_.data() + addr, data.data(), data.size());
+  if (!data.empty()) std::memcpy(data_ + addr, data.data(), data.size());
   host_bytes_written_.fetch_add(data.size(), std::memory_order_relaxed);
   return Status::Ok();
 }
@@ -51,7 +63,7 @@ Result<ByteSpan> LinearMemory::Slice(uint64_t addr, uint64_t len) const {
                         "slice [" + std::to_string(addr) + ", +" +
                             std::to_string(len) + ")");
   }
-  return ByteSpan(bytes_.data() + addr, len);
+  return ByteSpan(data_ + addr, len);
 }
 
 Result<MutableByteSpan> LinearMemory::MutableSlice(uint64_t addr, uint64_t len) {
@@ -60,14 +72,14 @@ Result<MutableByteSpan> LinearMemory::MutableSlice(uint64_t addr, uint64_t len) 
                         "mutable slice [" + std::to_string(addr) + ", +" +
                             std::to_string(len) + ")");
   }
-  return MutableByteSpan(bytes_.data() + addr, len);
+  return MutableByteSpan(data_ + addr, len);
 }
 
 Status LinearMemory::Copy(uint64_t dst, uint64_t src, uint64_t len) {
   if (!InBounds(dst, len) || !InBounds(src, len)) {
     return TrapToStatus(TrapKind::kMemoryOutOfBounds, "memory.copy");
   }
-  std::memmove(bytes_.data() + dst, bytes_.data() + src, len);
+  std::memmove(data_ + dst, data_ + src, len);
   return Status::Ok();
 }
 
@@ -75,7 +87,7 @@ Status LinearMemory::Fill(uint64_t dst, uint8_t value, uint64_t len) {
   if (!InBounds(dst, len)) {
     return TrapToStatus(TrapKind::kMemoryOutOfBounds, "memory.fill");
   }
-  std::memset(bytes_.data() + dst, value, len);
+  std::memset(data_ + dst, value, len);
   return Status::Ok();
 }
 

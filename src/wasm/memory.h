@@ -4,6 +4,12 @@
 // This is the object Roadrunner's shim reads from and writes into. All host
 // access goes through the checked Read/Write/Slice APIs, which is how the
 // shim "applies bounds checking before any read or write operation" (§3.1).
+//
+// Storage is one block from the C allocator. Pages come zeroed from calloc,
+// so the kernel commits a page only when the guest first touches it: a warm
+// instance costs the pages its guest uses, not its declared size. Grow
+// reallocs the block and zeroes the new tail; glibc moves a large block by
+// remapping its pages, not copying them. The block may move on Grow.
 #pragma once
 
 #include <atomic>
@@ -18,13 +24,17 @@ namespace rr::wasm {
 class LinearMemory {
  public:
   explicit LinearMemory(Limits limits);
+  ~LinearMemory();
+
+  LinearMemory(const LinearMemory&) = delete;
+  LinearMemory& operator=(const LinearMemory&) = delete;
 
   uint32_t pages() const { return pages_; }
   size_t byte_size() const { return static_cast<size_t>(pages_) * kWasmPageSize; }
   const Limits& limits() const { return limits_; }
 
   // memory.grow semantics: returns the previous page count, or -1 when the
-  // request exceeds the limit.
+  // request exceeds the limit or the host cannot supply the pages.
   int32_t Grow(uint32_t delta_pages);
 
   // True when [addr, addr+len) lies inside the current memory size.
@@ -40,7 +50,7 @@ class LinearMemory {
       return TrapToStatus(TrapKind::kMemoryOutOfBounds,
                           "load at " + std::to_string(addr));
     }
-    return LoadLE<T>(bytes_.data() + addr);
+    return LoadLE<T>(data_ + addr);
   }
 
   template <typename T>
@@ -49,7 +59,7 @@ class LinearMemory {
       return TrapToStatus(TrapKind::kMemoryOutOfBounds,
                           "store at " + std::to_string(addr));
     }
-    StoreLE<T>(bytes_.data() + addr, value);
+    StoreLE<T>(data_ + addr, value);
     return Status::Ok();
   }
 
@@ -80,7 +90,7 @@ class LinearMemory {
  private:
   Limits limits_;
   uint32_t pages_ = 0;
-  Bytes bytes_;
+  uint8_t* data_ = nullptr;
   mutable std::atomic<uint64_t> host_bytes_read_{0};
   std::atomic<uint64_t> host_bytes_written_{0};
 };

@@ -110,6 +110,28 @@ TEST(WasmSandboxTest, MemoryLimitEnforced) {
   EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(WasmSandboxTest, LoadsModuleWithoutDeclaredMaximum) {
+  wasm::ModuleBuilder builder;
+  builder.SetMemory({.min_pages = 1});
+  wasm::CodeEmitter stub;
+  stub.Unreachable().End();
+  builder.ExportFunction(
+      std::string(kExportAllocate),
+      builder.AddFunction({{wasm::ValType::kI32}, {wasm::ValType::kI32}}, {}, stub));
+  builder.ExportFunction(std::string(kExportDeallocate),
+                         builder.AddFunction({{wasm::ValType::kI32}, {}}, {}, stub));
+  FunctionSpec spec = Spec("unbounded");
+  spec.memory_limit_pages = 8;
+  auto sandbox = WasmSandbox::Create(spec, builder.Encode());
+  ASSERT_TRUE(sandbox.ok()) << sandbox.status();
+  // The sandbox's limit becomes the maximum the module left open.
+  wasm::LinearMemory* memory = (*sandbox)->instance().memory();
+  EXPECT_EQ(memory->limits().max_pages, spec.memory_limit_pages);
+  EXPECT_EQ(memory->Grow(spec.memory_limit_pages - 1), 1);
+  EXPECT_EQ(memory->Grow(1), -1);
+  EXPECT_EQ(memory->pages(), spec.memory_limit_pages);
+}
+
 TEST(WasmSandboxTest, RejectsModuleWithoutMemory) {
   wasm::ModuleBuilder builder;  // no memory section
   auto sandbox = WasmSandbox::Create(Spec("no-mem"), builder.Encode());

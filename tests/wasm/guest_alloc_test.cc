@@ -108,6 +108,26 @@ TEST_F(GuestAllocatorTest, ExhaustionReportedNotCrashed) {
   EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST_F(GuestAllocatorTest, SizeNearFourGiBDoesNotWrap) {
+  // 0xFFFFFFFC aligned up to 8 wraps a uint32_t to 0; it must not come back
+  // as a tiny block that a caller would register as a 4 GiB region.
+  const uint32_t pages_before = memory_.pages();
+  auto huge = alloc_.Allocate(0xFFFFFFFC);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(alloc_.live_allocations(), 0u);
+  EXPECT_EQ(memory_.pages(), pages_before);
+}
+
+TEST_F(GuestAllocatorTest, SizeWrappingWithHeaderIsExhaustionNotTrap) {
+  // 0xFFFFFFF0 aligns cleanly but wraps once the header is added.
+  auto huge = alloc_.Allocate(0xFFFFFFF0);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted);
+  auto small = alloc_.Allocate(100);
+  EXPECT_TRUE(small.ok()) << small.status();
+}
+
 // Property test: a randomized alloc/free workload maintains the invariants
 // (no overlap, accounting correct, all frees succeed).
 TEST(GuestAllocatorPropertyTest, RandomizedWorkloadKeepsInvariants) {

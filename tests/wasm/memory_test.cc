@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace rr::wasm {
 namespace {
 
@@ -98,6 +100,58 @@ TEST(LinearMemoryTest, CopyAndFill) {
 
   EXPECT_FALSE(mem.Copy(kWasmPageSize - 2, 0, 6).ok());
   EXPECT_FALSE(mem.Fill(kWasmPageSize - 2, 0, 6).ok());
+}
+
+bool AllZero(ByteSpan bytes) {
+  return std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; });
+}
+
+TEST(LinearMemoryTest, GrownPagesReadZero) {
+  LinearMemory mem({.min_pages = 1});
+  ASSERT_TRUE(mem.Fill(0, 0xff, kWasmPageSize).ok());
+  ASSERT_EQ(mem.Grow(2), 1);
+  auto grown = mem.Slice(kWasmPageSize, 2 * kWasmPageSize);
+  ASSERT_TRUE(grown.ok());
+  EXPECT_TRUE(AllZero(*grown));
+}
+
+TEST(LinearMemoryTest, ContentsSurviveGrowthPastMmapThreshold) {
+  // 1 to 64 pages (4 MiB) crosses the C allocator's mmap threshold, so Grow
+  // runs both the in-heap and the remapping realloc paths.
+  LinearMemory mem({.min_pages = 1});
+  auto stamp = [](uint32_t page) { return static_cast<uint8_t>(page * 37 + 1); };
+  for (uint32_t page = 0; page < 64; ++page) {
+    if (page > 0) ASSERT_EQ(mem.Grow(1), static_cast<int32_t>(page));
+    ASSERT_TRUE(mem.Fill(uint64_t{page} * kWasmPageSize, stamp(page), kWasmPageSize).ok());
+  }
+  for (uint32_t page = 0; page < 64; ++page) {
+    auto bytes = mem.Slice(uint64_t{page} * kWasmPageSize, kWasmPageSize);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_TRUE(std::all_of(bytes->begin(), bytes->end(),
+                            [&](uint8_t b) { return b == stamp(page); }))
+        << "page " << page;
+  }
+}
+
+TEST(LinearMemoryTest, RefusedGrowLeavesMemoryUnchanged) {
+  LinearMemory mem({.min_pages = 1, .has_max = true, .max_pages = 2});
+  ASSERT_TRUE(mem.Write(10, AsBytes("kept")).ok());
+  EXPECT_EQ(mem.Grow(2), -1);
+  EXPECT_EQ(mem.pages(), 1u);
+  auto kept = mem.Slice(10, 4);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(AsStringView(*kept), "kept");
+}
+
+TEST(LinearMemoryTest, ZeroPageMemoryGrowsToZeroedPage) {
+  LinearMemory mem({.min_pages = 0});
+  EXPECT_EQ(mem.byte_size(), 0u);
+  EXPECT_TRUE(mem.Slice(0, 0).ok());
+  EXPECT_FALSE(mem.Load<uint8_t>(0).ok());
+  ASSERT_EQ(mem.Grow(1), 0);
+  auto page = mem.Slice(0, kWasmPageSize);
+  ASSERT_TRUE(page.ok());
+  EXPECT_TRUE(AllZero(*page));
 }
 
 }  // namespace
