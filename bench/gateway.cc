@@ -125,7 +125,6 @@ Result<Backend> StartBackend(const GatewayBenchConfig& config) {
   backend.vm = std::make_unique<runtime::WasmVm>("bench-gateway");
 
   api::Runtime::Options options;
-  options.max_in_flight = 32;
   options.dag_workers = 64;
   backend.rt = std::make_unique<api::Runtime>("bench-gateway", options);
 

@@ -1,7 +1,5 @@
 #include "api/runtime.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,14 +15,14 @@ obs::Counter& SubmitTotal() {
 
 obs::Gauge& InFlightRuns() {
   static obs::Gauge* gauge = obs::Registry::Get().gauge(
-      "rr_inflight_runs", "Submitted runs not yet completed (queued + executing)");
+      "rr_inflight_runs", "Submitted runs whose result is not yet published");
   return *gauge;
 }
 
 obs::Histogram& SubmitLatency() {
   static obs::Histogram* histogram = obs::Registry::Get().histogram(
       "rr_submit_latency_seconds",
-      "Submit-to-completion latency of a run (queue wait included)");
+      "Submit-to-completion latency of a run (ready-wait included)");
   return *histogram;
 }
 
@@ -117,28 +115,18 @@ Runtime::Runtime(std::string workflow, Options options)
                       << server.status();
     }
   }
-  size_t drivers = options.max_in_flight;
-  if (drivers == 0) {
-    drivers = std::max<size_t>(8, std::thread::hardware_concurrency());
-  }
-  drivers_.reserve(drivers);
-  for (size_t i = 0; i < drivers; ++i) {
-    drivers_.emplace_back([this] { DriverLoop(); });
-  }
 }
 
 Runtime::~Runtime() {
   // Stop serving introspection first: its handler reads in_flight() off this
   // object, which must still be fully alive for every in-flight request.
   introspection_.reset();
-  {
-    MutexLock lock(mutex_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  // Drivers drain the queue before exiting: every handle ever returned by
-  // Submit completes, so a Wait() can never hang on teardown.
-  for (std::thread& driver : drivers_) driver.join();
+  // Every handle ever returned by Submit completes, so a Wait() can never
+  // hang on teardown: runs in flight finish on the pool before it stops.
+  MutexLock lock(mutex_);
+  stopping_ = true;
+  drained_cv_.wait(lock,
+                   [this]() RR_REQUIRES(mutex_) { return in_flight_ == 0; });
 }
 
 Status Runtime::Register(core::Endpoint endpoint) {
@@ -154,12 +142,12 @@ Result<std::shared_ptr<Invocation>> Runtime::Submit(const ChainSpec& spec,
   // A chain is a linear DAG; one executor serves both shapes.
   dag::DagBuilder builder("chain");
   RR_ASSIGN_OR_RETURN(dag::Dag dag, builder.Chain(spec.functions).Build());
-  return Enqueue(std::move(dag), std::move(input));
+  return Start(std::move(dag), std::move(input));
 }
 
 Result<std::shared_ptr<Invocation>> Runtime::Submit(const DagSpec& spec,
                                                     rr::Buffer input) {
-  return Enqueue(spec.dag, std::move(input), spec.resilience);
+  return Start(spec.dag, std::move(input), spec.resilience);
 }
 
 Result<std::shared_ptr<Invocation>> Runtime::Submit(const ChainSpec& spec,
@@ -172,92 +160,87 @@ Result<std::shared_ptr<Invocation>> Runtime::Submit(const DagSpec& spec,
   return Submit(spec, rr::Buffer::Copy(input));
 }
 
-Result<std::shared_ptr<Invocation>> Runtime::Enqueue(
+Result<std::shared_ptr<Invocation>> Runtime::Start(
     dag::Dag dag, rr::Buffer input,
     std::optional<resilience::ResiliencePolicy> resilience) {
   // Validate now, not at execution: a rejected Submit is visible at the call
-  // site, a failed background run only at Wait().
+  // site, a failed background run only at Wait(). The endpoints resolved
+  // here are the ones the run uses.
+  std::vector<core::Endpoint*> endpoints;
+  endpoints.reserve(dag.size());
   for (const dag::DagNode& node : dag.nodes()) {
-    RR_RETURN_IF_ERROR(manager_.Find(node.name).status());
+    RR_ASSIGN_OR_RETURN(core::Endpoint* const endpoint,
+                        manager_.Find(node.name));
+    endpoints.push_back(endpoint);
   }
-  auto invocation = std::shared_ptr<Invocation>(new Invocation(
-      next_id_.fetch_add(1, std::memory_order_relaxed), std::move(dag),
-      std::move(input)));
-  invocation->resilience_ = std::move(resilience);
-  // The run's trace id: everything the run touches — driver, DAG workers,
-  // wire frames, the remote agent's process — spans under it. A caller that
-  // is already inside a trace (the gateway tagging a request) propagates its
-  // id so edge and execution stitch into one trace; otherwise Submit mints.
+  {
+    MutexLock lock(mutex_);
+    if (stopping_) return UnavailableError("runtime is shutting down");
+    ++in_flight_;
+  }
+  auto invocation = std::shared_ptr<Invocation>(
+      new Invocation(next_id_.fetch_add(1, std::memory_order_relaxed)));
+  // The run's trace id: everything the run touches — DAG workers, wire
+  // frames, the remote agent's process — spans under it. A caller that is
+  // already inside a trace (the gateway tagging a request) propagates its id
+  // so edge and execution stitch into one trace; otherwise Submit mints. The
+  // run's root span opens here and is recorded when the result publishes.
+  obs::SpanContext run_span{};
   if (obs::TracingEnabled()) {
     const uint64_t ambient = obs::CurrentSpanContext().trace_id;
     invocation->trace_id_ = ambient != 0 ? ambient : obs::NewTraceId();
+    run_span = {invocation->trace_id_, obs::NewSpanId()};
   }
   invocation->submitted_ = Now();
-  {
-    MutexLock lock(mutex_);
-    if (stopping_) {
-      return UnavailableError("runtime is shutting down");
-    }
-    queue_.push_back(invocation);
-  }
   SubmitTotal().Inc();
   InFlightRuns().Add(1);
-  work_cv_.notify_one();
+  // The executor re-installs the context current here on every DAG worker
+  // that picks up one of the run's nodes.
+  obs::ScopedTraceContext trace_ctx(run_span);
+  executor_.Start(
+      std::move(dag), std::move(input), std::move(endpoints), resilience,
+      [this, invocation, run_span](Result<rr::Buffer> result,
+                                   telemetry::DagRunStats dag_stats,
+                                   TimePoint started) {
+        Publish(*invocation, std::move(result), std::move(dag_stats), started,
+                run_span);
+      });
   return invocation;
 }
 
-void Runtime::DriverLoop() {
-  for (;;) {
-    std::shared_ptr<Invocation> invocation;
-    {
-      MutexLock lock(mutex_);
-      work_cv_.wait(lock, [this]() RR_REQUIRES(mutex_) {
-        return stopping_ || !queue_.empty();
-      });
-      if (queue_.empty()) return;  // stopping and drained
-      invocation = std::move(queue_.front());
-      queue_.pop_front();
-      ++executing_;
-    }
-
-    const TimePoint started = Now();
-    RunStats stats;
-    stats.queued = started - invocation->submitted_;
-    Result<rr::Buffer> result{rr::Buffer{}};
-    {
-      // The run executes under the trace id Submit minted: the run span is
-      // the root, and the executor re-installs this context on every DAG
-      // worker that picks up one of the run's nodes.
-      obs::ScopedTraceContext trace_ctx(
-          obs::SpanContext{invocation->trace_id_, 0});
-      RR_TRACE_SPAN(run_span, "api",
-                    "run:" + std::to_string(invocation->id_));
-      result = executor_.Execute(invocation->dag_, invocation->input_,
-                                 &stats.dag, invocation->resilience_);
-    }
-    stats.total = Now() - started;
-    SubmitLatency().Observe(ToSeconds(stats.queued + stats.total));
-
-    // Retire from the in-flight count before publishing completion, so a
-    // caller returning from Wait() observes in_flight() without this run.
-    {
-      MutexLock lock(mutex_);
-      --executing_;
-    }
-    InFlightRuns().Sub(1);
-    std::vector<std::function<void()>> callbacks;
-    {
-      MutexLock lock(invocation->mutex_);
-      invocation->stats_ = std::move(stats);
-      invocation->result_ = std::move(result);
-      invocation->done_ = true;
-      callbacks.swap(invocation->done_callbacks_);
-    }
-    invocation->cv_.notify_all();
-    // Completion callbacks fire outside the invocation lock: they may read
-    // the (now immutable) result through the handle.
-    for (auto& callback : callbacks) callback();
+void Runtime::Publish(Invocation& invocation, Result<rr::Buffer> result,
+                      telemetry::DagRunStats dag_stats, TimePoint started,
+                      obs::SpanContext run_span) {
+  RunStats stats;
+  stats.queued = started - invocation.submitted_;
+  stats.total = dag_stats.total;
+  stats.dag = std::move(dag_stats);
+  SubmitLatency().Observe(ToSeconds(stats.queued + stats.total));
+  if (run_span.valid()) {
+    obs::RecordSpan("api", "run:" + std::to_string(invocation.id_), run_span,
+                    /*parent_span_id=*/0, invocation.submitted_,
+                    stats.queued + stats.total);
   }
+
+  // Retire from the in-flight count before publishing completion, so a
+  // caller returning from Wait() observes in_flight() without this run.
+  {
+    MutexLock lock(mutex_);
+    if (--in_flight_ == 0) drained_cv_.notify_all();
+  }
+  InFlightRuns().Sub(1);
+  std::vector<std::function<void()>> callbacks;
+  {
+    MutexLock lock(invocation.mutex_);
+    invocation.stats_ = std::move(stats);
+    invocation.result_ = std::move(result);
+    invocation.done_ = true;
+    callbacks.swap(invocation.done_callbacks_);
+  }
+  invocation.cv_.notify_all();
+  // Completion callbacks fire outside the invocation lock: they may read
+  // the (now immutable) result through the handle.
+  for (auto& callback : callbacks) callback();
 }
 
 core::NodeAgent::DeliveryCallback Runtime::DeliverySink() {
@@ -266,7 +249,7 @@ core::NodeAgent::DeliveryCallback Runtime::DeliverySink() {
 
 size_t Runtime::in_flight() const {
   MutexLock lock(mutex_);
-  return queue_.size() + executing_;
+  return in_flight_;
 }
 
 }  // namespace rr::api

@@ -1,14 +1,15 @@
 // rr::api::Runtime — the unified asynchronous invocation API.
 //
 // One façade over the whole middleware: register endpoints once, then
-// Submit(ChainSpec | DagSpec, input) returns an Invocation handle
-// immediately. Any number of invocations proceed concurrently over the
-// shared hop cache (established channels are reused across runs and across
-// in-flight invocations), the shared DAG worker pool, and the polymorphic
-// Transport layer — callers never touch WorkflowManager, dag::DagExecutor,
-// or per-hop plumbing directly (the deprecated synchronous entries,
-// WorkflowManager::RunChain and the direct DagExecutor::Execute, are gone;
-// Submit is the only way to run a workflow).
+// Submit(ChainSpec | DagSpec, input) starts the run and returns an
+// Invocation handle immediately. A run is a continuation, not a thread: the
+// DAG worker pool drives it, and the pool worker that retires its last node
+// publishes the result and fires its NotifyDone callbacks. No thread blocks
+// waiting for a run, so in-flight invocations are bounded by memory, not by
+// threads. They share the hop cache (established channels are reused across
+// runs), the DAG worker pool, and the polymorphic Transport layer — callers
+// never touch WorkflowManager, dag::DagExecutor, or per-hop plumbing
+// directly; Submit is the only way to run a workflow.
 //
 // Payloads ride the zero-copy plane end to end: Submit(spec, rr::Buffer)
 // shares the caller's chunks with every in-flight run (no per-submit copy —
@@ -23,12 +24,11 @@
 //   const Result<rr::Buffer>& out = (*inv)->Wait();
 #pragma once
 
-#include <deque>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -38,6 +38,7 @@
 #include "dag/dag.h"
 #include "dag/executor.h"
 #include "obs/introspect.h"
+#include "obs/trace.h"
 #include "telemetry/metrics.h"
 
 namespace rr::api {
@@ -59,8 +60,8 @@ struct DagSpec {
 
 // Wall-clock accounting of one submitted run.
 struct RunStats {
-  Nanos queued{0};              // Submit() -> execution start
-  Nanos total{0};               // execution start -> completion
+  Nanos queued{0};              // Submit() -> first source node starts
+  Nanos total{0};               // first source node starts -> completion
   telemetry::DagRunStats dag;   // per-edge samples of the run
 };
 
@@ -85,13 +86,13 @@ class Invocation {
   // Bounded wait; true when the run completed within `timeout`.
   bool WaitFor(Nanos timeout);
 
-  // Registers a completion callback: runs exactly once, on the completing
-  // driver thread right after the result publishes — or inline, on the
-  // caller's thread, when the run is already done. This is the event-driven
-  // counterpart to Wait(): the gateway parks a Responder in one of these
-  // instead of parking a thread. Callbacks must not block and must not call
-  // back into Wait() on this invocation (it is already done when they run;
-  // reading the result directly is fine).
+  // Registers a completion callback: runs exactly once, on the DAG pool
+  // worker that finishes the run, right after the result publishes — or
+  // inline, on the caller's thread, when the run is already done. This is
+  // the event-driven counterpart to Wait(): the gateway parks a Responder in
+  // one of these instead of parking a thread. Callbacks must not block and
+  // must not call back into Wait() on this invocation (it is already done
+  // when they run; reading the result directly is fine).
   void NotifyDone(std::function<void()> callback);
 
   // Valid once Done() — meaningless while the run is in flight. Reads
@@ -104,14 +105,9 @@ class Invocation {
 
  private:
   friend class Runtime;
-  Invocation(uint64_t id, dag::Dag dag, rr::Buffer input)
-      : id_(id), dag_(std::move(dag)), input_(std::move(input)) {}
+  explicit Invocation(uint64_t id) : id_(id) {}
 
   const uint64_t id_;
-  dag::Dag dag_;
-  rr::Buffer input_;
-  // The DagSpec's per-run retry-policy override, carried to the executor.
-  std::optional<resilience::ResiliencePolicy> resilience_;
   uint64_t trace_id_ = 0;
   TimePoint submitted_{};
 
@@ -126,10 +122,6 @@ class Invocation {
 class Runtime {
  public:
   struct Options {
-    // Invocations driven concurrently (queued beyond this). 0 = one driver
-    // per hardware thread, at least 8 so a burst of submissions overlaps
-    // even on small hosts.
-    size_t max_in_flight = 0;
     // DAG scheduler worker pool, shared by every in-flight run. 0 = one per
     // hardware thread.
     size_t dag_workers = 0;
@@ -167,7 +159,8 @@ class Runtime {
   explicit Runtime(std::string workflow);
   Runtime(std::string workflow, Options options);
 
-  // Drains: blocks until every submitted invocation has completed.
+  // Drains: blocks until every submitted invocation has completed, so every
+  // handle Submit ever returned completes.
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -199,6 +192,7 @@ class Runtime {
   // The underlying registry + hop cache (control plane, telemetry, tests).
   core::WorkflowManager& manager() { return manager_; }
 
+  // Runs submitted whose result is not yet published.
   size_t in_flight() const;
 
   // The introspection endpoint's bound port; 0 when not serving (option off,
@@ -208,24 +202,28 @@ class Runtime {
   }
 
  private:
-  Result<std::shared_ptr<Invocation>> Enqueue(
+  // Validates the DAG, resolving each node's endpoint once, and starts it.
+  Result<std::shared_ptr<Invocation>> Start(
       dag::Dag dag, rr::Buffer input,
       std::optional<resilience::ResiliencePolicy> resilience = std::nullopt);
-  void DriverLoop();
+  // Runs on the pool worker that finished the run: retires it from the
+  // in-flight count, publishes the result and fires the callbacks.
+  void Publish(Invocation& invocation, Result<rr::Buffer> result,
+               telemetry::DagRunStats dag_stats, TimePoint started,
+               obs::SpanContext run_span);
 
   core::WorkflowManager manager_;
+  // Declared before executor_, whose destruction joins the pool workers: one
+  // may still be publishing when the destructor's drain returns.
+  mutable Mutex mutex_;
+  CondVar drained_cv_;
+  size_t in_flight_ RR_GUARDED_BY(mutex_) = 0;
+  bool stopping_ RR_GUARDED_BY(mutex_) = false;
   dag::DagExecutor executor_;
   // Reset at the top of the destructor, before anything else tears down:
   // the request handler reads in_flight() off this runtime.
   std::unique_ptr<obs::IntrospectionServer> introspection_;
-
-  mutable Mutex mutex_;
-  CondVar work_cv_;
-  std::deque<std::shared_ptr<Invocation>> queue_ RR_GUARDED_BY(mutex_);
-  size_t executing_ RR_GUARDED_BY(mutex_) = 0;
-  bool stopping_ RR_GUARDED_BY(mutex_) = false;
   std::atomic<uint64_t> next_id_{1};
-  std::vector<std::thread> drivers_;
 };
 
 }  // namespace rr::api

@@ -1,10 +1,12 @@
 #include "dag/executor.h"
 
 #include <algorithm>
+#include <mutex>
 #include <optional>
 #include <utility>
 
 #include "common/log.h"
+#include "common/rng.h"
 #include "core/region_guard.h"
 #include "obs/trace.h"
 #include "resilience/metrics.h"
@@ -27,7 +29,7 @@ using core::TransferTiming;
 // storage (a still-guest-resident region, or the shared host chunk) with the
 // last holder, so fan-out never frees under a concurrent reader and
 // steady-state memory stays bounded by the DAG's live frontier. A cancelled
-// run cleans up the same way when the runs vector unwinds.
+// run cleans up the same way when the run object is freed.
 struct DagExecutor::NodeRun {
   Endpoint* endpoint = nullptr;
   Payload payload;
@@ -38,25 +40,27 @@ struct DagExecutor::NodeRun {
   std::atomic<size_t> remaining_consumers{0};
 };
 
-struct DagExecutor::StatsState {
-  telemetry::DagRunStats* out = nullptr;
-  Mutex mutex;
-  std::optional<TimePoint> phase_start RR_GUARDED_BY(mutex);
-  TimePoint phase_end RR_GUARDED_BY(mutex){};
+// One run, from Start until FinishRun frees it. Node tasks, pending slots
+// and the finish all reach it by pointer; the scheduler keeps it alive while
+// any of its nodes is queued, executing or deferred.
+struct DagExecutor::Run {
+  Run(Dag d, rr::Buffer in, const resilience::ResiliencePolicy& p,
+      Completion completion)
+      : dag(std::move(d)), input(std::move(in)), nodes(dag.size()), policy(p),
+        budget(p.enabled ? p.run_retry_budget : 0), rng(p.jitter_seed),
+        trace_ctx(obs::CurrentSpanContext()), done(std::move(completion)) {}
 
   // Called immediately before an edge transfer: the first caller anchors the
   // transfer phase, so `transfer_phase` spans first edge start to last edge
   // completion across all concurrent branches.
   void MarkPhaseStart() {
-    if (out == nullptr) return;
-    MutexLock lock(mutex);
+    MutexLock lock(stats_mutex);
     if (!phase_start.has_value()) phase_start = Now();
   }
 
   void Record(const std::string& source, const std::string& target,
               core::TransferMode mode, uint64_t bytes, Nanos latency,
               Nanos wasm_io) {
-    if (out == nullptr) return;
     // Timestamp and sample construction (three string copies) stay outside
     // the lock: with many concurrent runs recording edges, the critical
     // section is just a comparison and a vector push.
@@ -64,10 +68,33 @@ struct DagExecutor::StatsState {
     telemetry::EdgeSample sample{source, target,
                                  std::string(core::TransferModeName(mode)),
                                  bytes, latency, wasm_io};
-    MutexLock lock(mutex);
+    MutexLock lock(stats_mutex);
     phase_end = std::max(phase_end, now);
-    out->edges.push_back(std::move(sample));
+    stats.edges.push_back(std::move(sample));
   }
+
+  const Dag dag;
+  const rr::Buffer input;
+  std::vector<NodeRun> nodes;
+
+  Mutex stats_mutex;
+  telemetry::DagRunStats stats RR_GUARDED_BY(stats_mutex);
+  std::optional<TimePoint> phase_start RR_GUARDED_BY(stats_mutex);
+  TimePoint phase_end RR_GUARDED_BY(stats_mutex){};
+
+  // Retry state: the resolved policy, the run's shared retry budget, and the
+  // jitter stream (guarded by mail_mutex_ — backoff draws happen under it).
+  const resilience::ResiliencePolicy policy;
+  resilience::RetryBudget budget;
+  rr::Rng rng;
+
+  // The submitter's trace context, re-installed around every node task so
+  // node and edge spans join the run's trace on whichever worker runs them.
+  const obs::SpanContext trace_ctx;
+  // Stamped by the first source node to start on a worker.
+  std::once_flag started;
+  TimePoint started_at{};
+  Completion done;
 };
 
 DagExecutor::~DagExecutor() {
@@ -86,72 +113,64 @@ DagExecutor::~DagExecutor() {
   if (sweeper_.joinable()) sweeper_.join();
 }
 
-Result<rr::Buffer> DagExecutor::Execute(
-    const Dag& dag, const rr::Buffer& input, telemetry::DagRunStats* stats,
-    const std::optional<resilience::ResiliencePolicy>& policy_override) {
-  const Stopwatch total_timer;
-  if (stats != nullptr) *stats = telemetry::DagRunStats{};
-
-  std::vector<NodeRun> runs(dag.size());
-  for (size_t i = 0; i < dag.size(); ++i) {
-    RR_ASSIGN_OR_RETURN(Endpoint* const endpoint,
-                        manager_->Find(dag.node(i).name));
-    runs[i].endpoint = endpoint;
-    runs[i].remaining_consumers.store(dag.node(i).succs.size(),
-                                      std::memory_order_relaxed);
+void DagExecutor::Start(
+    Dag dag, rr::Buffer input, std::vector<Endpoint*> endpoints,
+    const std::optional<resilience::ResiliencePolicy>& policy_override,
+    Completion done) {
+  auto* const run = new Run(std::move(dag), std::move(input),
+                            policy_override.value_or(policy_), std::move(done));
+  for (size_t i = 0; i < run->nodes.size(); ++i) {
+    run->nodes[i].endpoint = endpoints[i];
+    run->nodes[i].remaining_consumers.store(run->dag.node(i).succs.size(),
+                                            std::memory_order_relaxed);
   }
-
-  StatsState stats_state;
-  stats_state.out = stats;
-  // Per-run retry state lives on this stack like StatsState: pending slots
-  // point at it, and the scheduler keeps this frame alive while any of the
-  // run's tickets is outstanding.
-  RunResilience res(policy_override.value_or(policy_));
-
-  // Node tasks execute on the scheduler's pool threads; re-install the
-  // submitting thread's trace context there so every node/edge span joins
-  // the run's trace instead of opening orphan traces per worker.
-  const obs::SpanContext run_ctx = obs::CurrentSpanContext();
-  Status status = scheduler_.Run(
-      dag, [&](size_t index, const DagScheduler::DeferFn& defer) {
-        obs::ScopedTraceContext ctx(run_ctx);
-        return RunNode(dag, index, runs, input, stats_state, res, defer);
-      });
-
-  // Assemble the result by chunk sharing: each sink's output is egressed
-  // exactly once (here, if it was not already host-resident) and the
-  // concatenation borrows the chunks — no merge allocation. Every other
-  // still-live payload (a cancelled run's frontier) releases through its
-  // handle when `runs` unwinds.
-  rr::Buffer result;
-  if (status.ok()) {
-    for (const size_t sink : dag.sinks()) {
-      auto sink_buffer = runs[sink].payload.Materialize();
-      if (!sink_buffer.ok()) {
-        status = sink_buffer.status();
-        break;
-      }
-      result.Append(*sink_buffer);
-    }
-  }
-  RR_RETURN_IF_ERROR(status);
-
-  if (stats != nullptr) {
-    stats->total = total_timer.Elapsed();
-    if (stats_state.phase_start.has_value()) {
-      stats->transfer_phase = stats_state.phase_end - *stats_state.phase_start;
-    }
-  }
-  return result;
+  scheduler_.Start(
+      run->dag,
+      [this, run](size_t index, const DagScheduler::DeferFn& defer) {
+        obs::ScopedTraceContext ctx(run->trace_ctx);
+        return RunNode(*run, index, defer);
+      },
+      [run](Status status) { FinishRun(run, std::move(status)); });
 }
 
-Status DagExecutor::RunNode(const Dag& dag, size_t index,
-                            std::vector<NodeRun>& runs, const rr::Buffer& input,
-                            StatsState& stats, RunResilience& res,
+void DagExecutor::FinishRun(Run* run_ptr, Status status) {
+  std::unique_ptr<Run> run(run_ptr);
+  // Assemble the result by chunk sharing: each sink's output is egressed
+  // exactly once (here, if it was not already host-resident) and the
+  // concatenation borrows the chunks — no merge allocation.
+  rr::Buffer output;
+  for (const size_t sink : run->dag.sinks()) {
+    if (!status.ok()) break;
+    Result<rr::Buffer> sink_buffer = run->nodes[sink].payload.Materialize();
+    if (!sink_buffer.ok()) {
+      status = sink_buffer.status();
+      break;
+    }
+    output.Append(*sink_buffer);
+  }
+  telemetry::DagRunStats stats;
+  {
+    MutexLock lock(run->stats_mutex);
+    stats = std::move(run->stats);
+    if (run->phase_start.has_value()) {
+      stats.transfer_phase = run->phase_end - *run->phase_start;
+    }
+  }
+  const TimePoint started = run->started_at;
+  stats.total = Now() - started;
+  const Completion done = std::move(run->done);
+  // Every other live payload (a cancelled run's frontier) releases with the
+  // run, before the result publishes: its reader may drop the pools at once.
+  run.reset();
+  done(status.ok() ? Result<rr::Buffer>(std::move(output))
+                   : Result<rr::Buffer>(std::move(status)),
+       std::move(stats), started);
+}
+
+Status DagExecutor::RunNode(Run& run, size_t index,
                             const DagScheduler::DeferFn& defer) {
-  const DagNode& node = dag.node(index);
-  NodeRun& run = runs[index];
-  Endpoint& target = *run.endpoint;
+  const DagNode& node = run.dag.node(index);
+  Endpoint& target = *run.nodes[index].endpoint;
 
   // Sources take the workflow input through platform ingress: a gather write
   // of the shared input chunks — the submit-side plane never copied them.
@@ -159,15 +178,16 @@ Status DagExecutor::RunNode(const Dag& dag, size_t index,
   // of the same workflow land on distinct warm instances, so their
   // invocations overlap instead of queuing on one VM.
   if (node.preds.empty()) {
+    std::call_once(run.started, [&run] { run.started_at = Now(); });
     RR_ASSIGN_OR_RETURN(ShimLease lease, target.Lease());
     InvokeOutcome outcome;
     {
       MutexLock shim_lock(lease->exec_mutex());
       RR_TRACE_SPAN(node_span, "dag", "node:" + node.name);
       RR_ASSIGN_OR_RETURN(outcome,
-                          lease->DeliverAndInvoke(rr::BufferView(input)));
+                          lease->DeliverAndInvoke(rr::BufferView(run.input)));
     }
-    return FinishNode(dag, index, runs, lease.get(), outcome);
+    return FinishNode(run, index, lease.get(), outcome);
   }
 
   // Decide coupling per predecessor FIRST, from placement alone: a network
@@ -184,11 +204,11 @@ Status DagExecutor::RunNode(const Dag& dag, size_t index,
   size_t coupled = 0;
   for (const size_t pred : node.preds) {
     const core::TransferMode mode = core::SelectMode(
-        runs[pred].endpoint->location, target.location);
+        run.nodes[pred].endpoint->location, target.location);
     if (mode == core::TransferMode::kNetwork && target.port != 0) ++coupled;
   }
   if (coupled == node.preds.size()) {
-    return RunRemoteNode(dag, index, runs, stats, res, defer);
+    return RunRemoteNode(run, index, defer);
   }
   if (coupled != 0) {
     return FailedPreconditionError(
@@ -202,32 +222,33 @@ Status DagExecutor::RunNode(const Dag& dag, size_t index,
   std::vector<std::shared_ptr<Hop>> pred_hops;
   pred_hops.reserve(node.preds.size());
   for (const size_t pred : node.preds) {
-    RR_ASSIGN_OR_RETURN(std::shared_ptr<Hop> hop,
-                        manager_->hops().Get(*runs[pred].endpoint, target));
+    RR_ASSIGN_OR_RETURN(
+        std::shared_ptr<Hop> hop,
+        manager_->hops().Get(*run.nodes[pred].endpoint, target));
     pred_hops.push_back(std::move(hop));
   }
-  return RunLocalNode(dag, index, runs, pred_hops, stats);
+  return RunLocalNode(run, index, pred_hops);
 }
 
 Status DagExecutor::RunLocalNode(
-    const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-    const std::vector<std::shared_ptr<Hop>>& pred_hops, StatsState& stats) {
-  const DagNode& node = dag.node(index);
-  NodeRun& run = runs[index];
-  Endpoint& target = *run.endpoint;
+    Run& run, size_t index,
+    const std::vector<std::shared_ptr<Hop>>& pred_hops) {
+  const DagNode& node = run.dag.node(index);
+  std::vector<NodeRun>& runs = run.nodes;
+  Endpoint& target = *runs[index].endpoint;
 
   // This edge's share of the predecessor's eager-egress time (zero when the
   // payload stayed guest-resident — the hop then times its own egress).
   const auto egress_share = [&](size_t pred) {
     return runs[pred].egress_wasm_io /
-           static_cast<int64_t>(dag.node(pred).succs.size());
+           static_cast<int64_t>(run.dag.node(pred).succs.size());
   };
 
   // A Forward whose wire died (an idle-bound expiry or an I/O failure
   // mid-frame killed a kernel or loopback network hop) leaves the hop dead
-  // in the cache: evict so the next run
-  // re-establishes instead of failing forever. Wireless (user-space) hops,
-  // placement failures and typed in-sync refusals stay cached.
+  // in the cache: evict so the next run re-establishes instead of failing
+  // forever. Wireless (user-space) hops, placement failures and typed
+  // in-sync refusals stay cached.
   const auto evict_if_dead = [&](Hop& hop) {
     if (!hop.healthy()) manager_->hops().Evict(target.shim->name());
   };
@@ -249,7 +270,7 @@ Status DagExecutor::RunLocalNode(
     const size_t pred = node.preds.front();
     const Payload payload = runs[pred].payload;
     TransferTiming timing;
-    stats.MarkPhaseStart();
+    run.MarkPhaseStart();
     // While tracing, the edge span doubles as the stats timer (End() returns
     // the transfer's wall time); with tracing off the Stopwatch serves the
     // EdgeSample alone and the span site costs one atomic load.
@@ -265,7 +286,7 @@ Status DagExecutor::RunLocalNode(
       evict_if_dead(*pred_hops.front());
       return delivered.status();
     }
-    stats.Record(runs[pred].endpoint->shim->name(), target.shim->name(),
+    run.Record(runs[pred].endpoint->shim->name(), target.shim->name(),
                  pred_hops.front()->mode(), delivered->length,
                  edge_latency, timing.wasm_io + egress_share(pred));
     input_region = *delivered;
@@ -297,7 +318,7 @@ Status DagExecutor::RunLocalNode(
       const MemoryRegion slice{merged.address + offset,
                                static_cast<uint32_t>(payload.size())};
       TransferTiming timing;
-      stats.MarkPhaseStart();
+      run.MarkPhaseStart();
       RR_TRACE_SPAN(edge_span, "dag",
                     "edge:" + runs[pred].endpoint->shim->name() + "->" +
                         target.shim->name());
@@ -312,7 +333,7 @@ Status DagExecutor::RunLocalNode(
         (void)merged_guard.ReleaseNow();
         return delivered.status();
       }
-      stats.Record(runs[pred].endpoint->shim->name(), target.shim->name(),
+      run.Record(runs[pred].endpoint->shim->name(), target.shim->name(),
                    pred_hops[i]->mode(), slice.length, edge_latency,
                    timing.wasm_io + egress_share(pred));
       offset += slice.length;
@@ -320,7 +341,7 @@ Status DagExecutor::RunLocalNode(
     merged_guard.Dismiss();  // ownership continues as the node's input region
     input_region = merged;
   }
-  ReleaseConsumedPreds(node, runs);
+  ReleaseConsumedPreds(run, node);
 
   InvokeOutcome outcome;
   {
@@ -336,7 +357,7 @@ Status DagExecutor::RunLocalNode(
     input_guard.Dismiss();
     outcome = *invoked;
   }
-  return FinishNode(dag, index, runs, &instance, outcome);
+  return FinishNode(run, index, &instance, outcome);
 }
 
 // Completion-driven remote node: assembles ONE frame, registers the pending
@@ -349,14 +370,12 @@ Status DagExecutor::RunLocalNode(
 // the run's ResiliencePolicy enabled, a retryable attempt failure re-enters
 // the slot as a backoff ticket instead of completing it (see
 // ResolveAttemptFailure).
-Status DagExecutor::RunRemoteNode(const Dag& dag, size_t index,
-                                  std::vector<NodeRun>& runs, StatsState& stats,
-                                  RunResilience& res,
+Status DagExecutor::RunRemoteNode(Run& run, size_t index,
                                   const DagScheduler::DeferFn& defer) {
-  const DagNode& node = dag.node(index);
-  Endpoint& target = *runs[index].endpoint;
+  const DagNode& node = run.dag.node(index);
+  Endpoint& target = *run.nodes[index].endpoint;
 
-  stats.MarkPhaseStart();
+  run.MarkPhaseStart();
   // Frame assembly. The agent invokes on every received frame, so a fan-in
   // join's input must travel as ONE frame — predecessor chunks concatenated
   // by reference and vectored onto the wire, no host-side merge copy. Egress
@@ -370,22 +389,19 @@ Status DagExecutor::RunRemoteNode(const Dag& dag, size_t index,
   part_bytes.reserve(node.preds.size());
   rr::Buffer wire;
   for (const size_t pred : node.preds) {
-    auto part = runs[pred].payload.Materialize(&timing.wasm_io);
+    auto part = run.nodes[pred].payload.Materialize(&timing.wasm_io);
     RR_RETURN_IF_ERROR(part.status());
     wire.Append(*part);
     part_bytes.push_back(part->size());
   }
 
-  // Everything below the slot registration runs on borrowed time: the
-  // moment the slot is published, ANY resolution path — a loopback
-  // completion, or the sweeper under a very short remote_deadline — can
-  // complete the ticket and unblock Run(), unwinding the stack that `runs`,
-  // `node`, and `target` live on. So: copy the names out, and drop this
-  // node's claim on its predecessors NOW (the slot's frame holds the chunk
-  // refcounts).
+  // Copy the names out and drop this node's claim on its predecessors NOW
+  // (the slot's frame holds the chunk refcounts): once the slot publishes, a
+  // loopback completion or a very short remote_deadline may retire the node
+  // while this task is still returning.
   const std::string node_name = node.name;
   const std::string function = target.shim->name();
-  ReleaseConsumedPreds(node, runs);
+  ReleaseConsumedPreds(run, node);
 
   // The dispatch span is what the agent-side spans parent under: its context
   // rides the frame header, re-installed around EVERY attempt's dispatch.
@@ -413,11 +429,8 @@ Status DagExecutor::RunRemoteNode(const Dag& dag, size_t index,
     Pending slot;
     slot.function = function;
     slot.ticket = ticket;
-    slot.dag = &dag;
+    slot.run = &run;
     slot.index = index;
-    slot.runs = &runs;
-    slot.stats = &stats;
-    slot.res = &res;
     slot.part_bytes = std::move(part_bytes);
     slot.frame_wasm_io = timing.wasm_io;
     slot.frame = std::move(wire);
@@ -443,8 +456,8 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
   // pointers stay valid outside it: no resolution signal can fire for this
   // token until the dispatch below initiates (the deadline is disarmed, the
   // phase is in-flight so the sweeper won't redispatch, and the frame has
-  // not touched a wire), so the ticket cannot complete and the Run's stack
-  // cannot unwind.
+  // not touched a wire), so the ticket cannot complete and the run cannot
+  // be freed.
   std::string function;
   rr::Buffer frame;
   size_t start_replica = 0;
@@ -461,9 +474,9 @@ void DagExecutor::DispatchAttempt(uint64_t token) {
     function = slot.function;
     frame = slot.frame;
     start_replica = slot.replica;
-    const DagNode& node = slot.dag->node(slot.index);
-    source = (*slot.runs)[node.preds.front()].endpoint;
-    target = (*slot.runs)[slot.index].endpoint;
+    const DagNode& node = slot.run->dag.node(slot.index);
+    source = slot.run->nodes[node.preds.front()].endpoint;
+    target = slot.run->nodes[slot.index].endpoint;
     trace_ctx = slot.trace_ctx;
   }
 
@@ -595,9 +608,9 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
     manager_->hops().Evict(slot->function);
   }
 
-  const resilience::ResiliencePolicy& policy = slot->res->policy;
-  const size_t replica_count =
-      (*slot->runs)[slot->index].endpoint->replica_count();
+  Run& run = *slot->run;
+  const resilience::ResiliencePolicy& policy = run.policy;
+  const size_t replica_count = run.nodes[slot->index].endpoint->replica_count();
   const uint32_t max_total =
       policy.max_attempts * static_cast<uint32_t>(replica_count);
   if (!policy.enabled || !resilience::RetryableDispatch(status) ||
@@ -608,7 +621,7 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
     slot->ticket.Complete(status);
     return;
   }
-  if (!slot->res->budget.TryConsume()) {
+  if (!run.budget.TryConsume()) {
     resilience::RetryBudgetExhaustedTotal().Inc();
     slot->ticket.Complete(
         UnavailableError("retry budget exhausted for run; last error: " +
@@ -628,7 +641,7 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
     // The jitter stream is shared by the run's concurrent edges; mail_mutex_
     // guards the draw, keeping the sequence (and tests) deterministic.
     const Nanos delay =
-        resilience::NextBackoff(policy, slot->prev_backoff, slot->res->rng);
+        resilience::NextBackoff(policy, slot->prev_backoff, run.rng);
     slot->prev_backoff = delay;
     slot->phase = Pending::Phase::kBackoff;
     slot->retry_at = Now() + delay;
@@ -647,16 +660,14 @@ void DagExecutor::ResolveAttemptFailure(uint64_t token, const Status& status,
 // successor egresses NOW — one copy into an immutable shared chunk, the
 // guest region released before any successor runs — so N-way fan-out is
 // O(1) payload copies and the successors only ever bump a refcount.
-Status DagExecutor::FinishNode(const Dag& dag, size_t index,
-                               std::vector<NodeRun>& runs,
-                               core::Shim* instance,
+Status DagExecutor::FinishNode(Run& run, size_t index, core::Shim* instance,
                                core::InvokeOutcome outcome) {
-  NodeRun& run = runs[index];
-  run.payload = Payload::FromGuest(instance, outcome.output);
-  if (dag.node(index).succs.size() > 1) {
-    RR_TRACE_SPAN(egress_span, "dag", "egress:" + dag.node(index).name);
+  NodeRun& node_run = run.nodes[index];
+  node_run.payload = Payload::FromGuest(instance, outcome.output);
+  if (run.dag.node(index).succs.size() > 1) {
+    RR_TRACE_SPAN(egress_span, "dag", "egress:" + run.dag.node(index).name);
     RR_RETURN_IF_ERROR(
-        run.payload.Materialize(&run.egress_wasm_io).status());
+        node_run.payload.Materialize(&node_run.egress_wasm_io).status());
   }
   return Status::Ok();
 }
@@ -696,27 +707,25 @@ Status DagExecutor::DeliverOutcome(const std::string& function,
                                            Status::Ok());
   }
 
-  // Resolve the deferred edge. Everything touching the run's stack state
-  // (runs, stats, dag) happens BEFORE the ticket completes: completion may
-  // release the Run and unwind that stack. Edge latency spans dispatch to
-  // delivery — the remote invoke is part of the edge on this path; a merged
-  // (fan-in) frame reports the shared wall time per contributing edge, with
-  // each edge's own byte count.
-  const Dag& dag = *slot->dag;
-  const DagNode& node = dag.node(slot->index);
-  std::vector<NodeRun>& runs = *slot->runs;
+  // Resolve the deferred edge. Everything touching the run object happens
+  // BEFORE the ticket completes: completion may finish the run and free it.
+  // Edge latency spans dispatch to delivery — the remote invoke is part of
+  // the edge on this path; a merged (fan-in) frame reports the shared wall
+  // time per contributing edge, with each edge's own byte count.
+  Run& run = *slot->run;
+  const DagNode& node = run.dag.node(slot->index);
+  const std::vector<NodeRun>& runs = run.nodes;
   const Nanos latency = Now() - slot->dispatched_at;
   for (size_t i = 0; i < node.preds.size(); ++i) {
     const size_t pred = node.preds[i];
-    slot->stats->Record(
+    run.Record(
         runs[pred].endpoint->shim->name(), slot->function,
         core::TransferMode::kNetwork, slot->part_bytes[i], latency,
         slot->frame_wasm_io +
             runs[pred].egress_wasm_io /
-                static_cast<int64_t>(dag.node(pred).succs.size()));
+                static_cast<int64_t>(run.dag.node(pred).succs.size()));
   }
-  const Status finished =
-      FinishNode(dag, slot->index, runs, instance.get(), outcome);
+  const Status finished = FinishNode(run, slot->index, instance.get(), outcome);
   slot->ticket.Complete(finished);
   // The instance lease drops when this returns — the agent-side instance
   // goes back to its pool; the output region it still hosts is pinned by
@@ -795,10 +804,9 @@ core::NodeAgent::DeliveryCallback DagExecutor::DeliverySink() {
 
 // Transfers are complete: drop each predecessor's claim; the payload's
 // refcount releases the storage with its last holder.
-void DagExecutor::ReleaseConsumedPreds(const DagNode& node,
-                                       std::vector<NodeRun>& runs) {
+void DagExecutor::ReleaseConsumedPreds(Run& run, const DagNode& node) {
   for (const size_t pred : node.preds) {
-    NodeRun& p = runs[pred];
+    NodeRun& p = run.nodes[pred];
     if (p.remaining_consumers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       p.payload.Reset();
     }

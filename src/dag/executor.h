@@ -56,15 +56,18 @@
 // frame is a ref-counted immutable rr::Buffer held by the slot, so a
 // redispatch costs refcounts, not copies.
 //
-// Execution is reentrant: concurrent runs (api::Runtime keeps many
-// invocations in flight) share the worker pool, the hop cache, and the
-// delivery mailbox; per-run state lives on the caller's stack, kept valid by
-// the scheduler (a deferred node keeps its Run blocked). There is no public
-// synchronous entry — api::Runtime::Submit is the way to run a DAG.
+// A run is a heap object the scheduler drives to completion: Start returns
+// at once, and the retirement of the run's last node finishes it on a pool
+// worker — sink egress, then the run's Completion. No thread blocks waiting
+// for a run, so concurrent runs (api::Runtime keeps many invocations in
+// flight) are bounded by memory, not threads; they share the worker pool,
+// the hop cache, and the delivery mailbox. There is no public entry —
+// api::Runtime::Submit is the way to run a DAG.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include "common/mutex.h"
@@ -74,7 +77,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/node_agent.h"
 #include "core/payload.h"
 #include "core/workflow.h"
@@ -126,65 +128,52 @@ class DagExecutor {
   void set_remote_deadline(Nanos deadline) { remote_deadline_ = deadline; }
 
   // Default retry policy for runs that do not carry their own (the
-  // per-DagSpec override threads through Execute).
+  // per-DagSpec override threads through Start).
   void set_resilience_policy(resilience::ResiliencePolicy policy) {
     policy_ = policy;
   }
-
-  size_t worker_count() const { return scheduler_.worker_count(); }
 
  private:
   friend class rr::api::Runtime;
 
   struct NodeRun;
-  struct StatsState;
+  struct Run;
 
-  // Per-run resilience state, living on Execute's stack beside StatsState:
-  // the resolved policy, the shared retry budget, and the jitter stream
-  // (guarded by mail_mutex_ — backoff draws happen under it).
-  struct RunResilience {
-    resilience::ResiliencePolicy policy;
-    resilience::RetryBudget budget;
-    rr::Rng rng;
+  // What a finished run reports, on the pool worker that finished it: the
+  // sink outputs (or the first error), its per-edge stats, and when its
+  // first source node started on a worker.
+  using Completion = std::function<void(Result<rr::Buffer> result,
+                                        telemetry::DagRunStats stats,
+                                        TimePoint started)>;
 
-    explicit RunResilience(const resilience::ResiliencePolicy& p)
-        : policy(p), budget(p.enabled ? p.run_retry_budget : 0),
-          rng(p.jitter_seed) {}
-  };
+  // Starts `dag` and returns at once. `input` is shared (never copied) with
+  // every source node; `endpoints` holds each node's resolved endpoint, in
+  // node order; `policy_override` (a per-DagSpec ResiliencePolicy) replaces
+  // the executor default for this run. `done` receives the sink outputs
+  // (concatenated in declaration order, by chunk sharing) or, when a node
+  // fails and cancels the run, the first error. Every payload of the run is
+  // released before `done` is called.
+  void Start(Dag dag, rr::Buffer input, std::vector<core::Endpoint*> endpoints,
+             const std::optional<resilience::ResiliencePolicy>& policy_override,
+             Completion done);
+  // The scheduler's DoneFn: assembles the result from the run object,
+  // frees it, and hands the result to its Completion.
+  static void FinishRun(Run* run, Status status);
 
-  // Runs the DAG: `input` is shared (never copied) with every source node;
-  // the sink functions' outputs (concatenated in declaration order when
-  // there are several sinks, by chunk sharing) are returned as one buffer.
-  // On any node failure the run cancels — downstream nodes never execute —
-  // and the first error returns; the payload plane's refcounts release every
-  // still-live output. Safe to call from many threads at once; reachable
-  // only through api::Runtime::Submit. `policy_override` (a per-DagSpec
-  // ResiliencePolicy) replaces the executor default for this run.
-  Result<rr::Buffer> Execute(
-      const Dag& dag, const rr::Buffer& input,
-      telemetry::DagRunStats* stats = nullptr,
-      const std::optional<resilience::ResiliencePolicy>& policy_override =
-          std::nullopt);
-
-  Status RunNode(const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-                 const rr::Buffer& input, StatsState& stats,
-                 RunResilience& res, const DagScheduler::DeferFn& defer);
-  Status RunLocalNode(const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-                      const std::vector<std::shared_ptr<core::Hop>>& pred_hops,
-                      StatsState& stats);
-  Status RunRemoteNode(const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-                       StatsState& stats, RunResilience& res,
+  Status RunNode(Run& run, size_t index, const DagScheduler::DeferFn& defer);
+  Status RunLocalNode(Run& run, size_t index,
+                      const std::vector<std::shared_ptr<core::Hop>>& pred_hops);
+  Status RunRemoteNode(Run& run, size_t index,
                        const DagScheduler::DeferFn& defer);
-  Status FinishNode(const Dag& dag, size_t index, std::vector<NodeRun>& runs,
-                    core::Shim* instance, core::InvokeOutcome outcome);
-  static void ReleaseConsumedPreds(const DagNode& node,
-                                   std::vector<NodeRun>& runs);
+  static Status FinishNode(Run& run, size_t index, core::Shim* instance,
+                           core::InvokeOutcome outcome);
+  static void ReleaseConsumedPreds(Run& run, const DagNode& node);
 
   // One pending invoke-coupled transfer: the deferred node's continuation,
-  // registered before its frame is dispatched. The raw pointers target the
-  // Run's stack state, valid until the ticket completes (the scheduler keeps
-  // the Run blocked while the node is outstanding) — so every resolution
-  // path touches them strictly BEFORE Ticket::Complete.
+  // registered before its frame is dispatched. `run` points into the run
+  // object, valid until the ticket completes: a pending ticket keeps the run
+  // open, and the run is freed only once its last node has retired. So
+  // every resolution path touches it strictly BEFORE Ticket::Complete.
   //
   // With retries, a slot cycles between two phases under a CHANGING token:
   // kInFlight (dispatched, waiting on a signal) and kBackoff (waiting for
@@ -196,11 +185,8 @@ class DagExecutor {
 
     std::string function;  // target function = hop-cache eviction key
     DagScheduler::Ticket ticket;
-    const Dag* dag = nullptr;
+    Run* run = nullptr;
     size_t index = 0;
-    std::vector<NodeRun>* runs = nullptr;
-    StatsState* stats = nullptr;
-    RunResilience* res = nullptr;
     std::shared_ptr<core::Hop> hop;
     std::vector<uint64_t> part_bytes;  // per-predecessor frame contribution
     Nanos frame_wasm_io{0};            // egress time of frame assembly

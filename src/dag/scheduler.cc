@@ -36,32 +36,28 @@ DagScheduler::~DagScheduler() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-Status DagScheduler::Run(const Dag& dag, const NodeFn& fn) {
-  RunState state;
-  state.dag = &dag;
-  state.fn = &fn;
-  state.remaining_preds.resize(dag.size());
+void DagScheduler::Start(const Dag& dag, NodeFn fn, DoneFn done) {
+  auto* const state = new RunState;
+  state->dag = &dag;
+  state->fn = std::move(fn);
+  state->done = std::move(done);
+  state->remaining_preds.resize(dag.size());
   for (size_t i = 0; i < dag.size(); ++i) {
-    state.remaining_preds[i] = dag.node(i).preds.size();
+    state->remaining_preds[i] = dag.node(i).preds.size();
   }
-
-  MutexLock lock(mutex_);
-  for (const size_t source : dag.sources()) {
-    queue_.emplace_back(&state, source);
-    // One wakeup per enqueued item: notify_all would stampede the whole
-    // pool through the mutex for a run that may have a single source.
-    work_cv_.notify_one();
-  }
-  state.outstanding = dag.sources().size();
-  QueueDepth().Set(static_cast<int64_t>(queue_.size()));
 
   // A validated Dag is non-empty, so outstanding starts > 0 and reaches 0
   // exactly when every reachable (non-cancelled) node has finished —
   // deferred nodes included, their Tickets being what decrements it.
-  done_cv_.wait(lock, [this, &state]() RR_REQUIRES(mutex_) {
-    return state.outstanding == 0;
-  });
-  return state.first_error;
+  MutexLock lock(mutex_);
+  state->outstanding = dag.sources().size();
+  for (const size_t source : dag.sources()) {
+    queue_.emplace_back(state, source);
+    // One wakeup per enqueued item: notify_all would stampede the whole
+    // pool through the mutex for a run that may have a single source.
+    work_cv_.notify_one();
+  }
+  QueueDepth().Set(static_cast<int64_t>(queue_.size()));
 }
 
 void DagScheduler::WorkerLoop() {
@@ -75,33 +71,45 @@ void DagScheduler::WorkerLoop() {
     queue_.pop_front();
     QueueDepth().Set(static_cast<int64_t>(queue_.size()));
 
-    Status status;
-    bool deferred = false;
-    if (!state->cancelled) {
+    bool finished = node == kFinish;
+    if (!finished) {
+      Status status;
+      bool deferred = false;
+      if (!state->cancelled) {
+        lock.unlock();
+        const DeferFn defer = [this, state = state, node = node, &deferred] {
+          deferred = true;
+          // The Ticket's own unit: the task's keeps the run open until the
+          // task has returned here, even when the Ticket completes first.
+          MutexLock defer_lock(mutex_);
+          ++state->outstanding;
+          Ticket ticket;
+          ticket.slot_ = std::make_shared<Ticket::Slot>(this, state, node);
+          return ticket;
+        };
+        status = state->fn(node, defer);
+        lock.lock();
+      }
+      // else: the run failed while this node sat queued — retire it unrun.
+      // A deferred node's successors are the Ticket's to release.
+      if (!deferred) {
+        RetireLocked(state, node, std::move(status), /*self_pops=*/true);
+      }
+      finished = --state->outstanding == 0;
+    }
+    if (finished) {
+      // The run's last node retired: finish it here, on the pool, with the
+      // lock dropped — the DoneFn egresses sinks and runs user callbacks.
       lock.unlock();
-      const DeferFn defer = [this, state = state, node = node, &deferred] {
-        deferred = true;
-        Ticket ticket;
-        ticket.slot_ = std::make_shared<Ticket::Slot>();
-        ticket.slot_->scheduler = this;
-        ticket.slot_->state = state;
-        ticket.slot_->node = node;
-        return ticket;
-      };
-      status = (*state->fn)(node, defer);
+      state->done(state->first_error);
+      delete state;
       lock.lock();
     }
-    // else: the run failed while this node sat queued — retire it unrun.
-
-    // A deferred node retires through its Ticket — possibly already has, on
-    // another thread, in which case the run may be GONE: state must not be
-    // touched past this point.
-    if (deferred) continue;
-    RetireLocked(state, node, std::move(status));
   }
 }
 
-void DagScheduler::RetireLocked(RunState* state, size_t node, Status status) {
+void DagScheduler::RetireLocked(RunState* state, size_t node, Status status,
+                                bool self_pops) {
   if (!status.ok()) {
     if (state->first_error.ok()) {
       state->first_error =
@@ -114,16 +122,13 @@ void DagScheduler::RetireLocked(RunState* state, size_t node, Status status) {
       if (--state->remaining_preds[succ] == 0) {
         queue_.emplace_back(state, succ);
         ++state->outstanding;
-        // The retiring worker keeps draining without a wakeup (its wait
-        // predicate sees the non-empty queue), so one notify per NEW item is
-        // enough to engage exactly as many extra workers as there is work.
-        work_cv_.notify_one();
+        // One notify per new item engages as many workers as there is work,
+        // less the first item a retiring worker enqueues: it pops that one.
+        if (!self_pops) work_cv_.notify_one();
+        self_pops = false;
       }
     }
     QueueDepth().Set(static_cast<int64_t>(queue_.size()));
-  }
-  if (--state->outstanding == 0) {
-    done_cv_.notify_all();
   }
 }
 
@@ -132,7 +137,15 @@ void DagScheduler::Ticket::Complete(Status status) {
   if (slot == nullptr || slot->completed.exchange(true)) return;
   DagScheduler* const scheduler = slot->scheduler;
   MutexLock lock(scheduler->mutex_);
-  scheduler->RetireLocked(slot->state, slot->node, std::move(status));
+  scheduler->RetireLocked(slot->state, slot->node, std::move(status),
+                          /*self_pops=*/false);
+  if (--slot->state->outstanding == 0) {
+    // The completing thread may be a reactor, an agent invoke worker or the
+    // executor's sweeper: hand the run's finish to the pool.
+    scheduler->queue_.emplace_back(slot->state, kFinish);
+    scheduler->work_cv_.notify_one();
+    QueueDepth().Set(static_cast<int64_t>(scheduler->queue_.size()));
+  }
 }
 
 }  // namespace rr::dag

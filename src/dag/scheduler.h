@@ -6,10 +6,13 @@
 // joins wait for all of their inputs. The pool is fixed at construction:
 // workflow width never translates into unbounded thread creation.
 //
-// Run is reentrant: any number of concurrent runs (api::Runtime keeps many
-// invocations in flight) share the one pool, their ready nodes interleaved
-// in one queue. Each run's bookkeeping lives on its caller's stack, so runs
-// never contend on anything but the queue lock.
+// Runs are continuations, not calls: Start queues a run's sources and
+// returns at once, and the retirement of the run's last node calls its
+// DoneFn on a pool worker. No thread ever blocks waiting for a run, so any
+// number of runs (api::Runtime keeps many invocations in flight) share the
+// one pool, their ready nodes interleaved in one queue. Each run's
+// bookkeeping is a heap object the scheduler owns from Start until its
+// DoneFn returns.
 //
 // Nodes may complete ASYNCHRONOUSLY: a node task whose work finishes
 // elsewhere (a remote dispatch whose outcome arrives as a completion frame)
@@ -45,8 +48,8 @@ class DagScheduler {
   // success path, the failure path, and the deadline backstop; the FIRST
   // Complete across all copies wins and the rest are no-ops. A
   // default-constructed Ticket is empty (Complete is a no-op). The scheduler
-  // must outlive every live Ticket — guaranteed while its owner does,
-  // because a pending Ticket keeps its Run blocked.
+  // must outlive every live Ticket — guaranteed while its owner drains its
+  // runs before destruction, because a pending Ticket keeps its run open.
   class Ticket {
    public:
     Ticket() = default;
@@ -54,7 +57,8 @@ class DagScheduler {
     // Retires the deferred node with its final status: an error cancels the
     // run (first error wins, prefixed with the node's name), a success
     // enqueues newly-ready successors. Callable from any thread, including
-    // before the deferring node task has returned to its worker.
+    // before the deferring node task has returned to its worker. Retiring
+    // the run's last node queues the run's DoneFn onto the pool.
     void Complete(Status status);
 
    private:
@@ -70,8 +74,8 @@ class DagScheduler {
 
   // Handed to each node task. Calling it marks the node deferred: the
   // scheduler then IGNORES the task's return value and the node stays
-  // outstanding (successors unreleased, the run's Run() blocked) until the
-  // returned Ticket completes. Only valid during the task invocation it was
+  // outstanding (successors unreleased, the run open) until the returned
+  // Ticket completes. Only valid during the task invocation it was
   // passed to — do not store it.
   using DeferFn = std::function<Ticket()>;
 
@@ -81,6 +85,10 @@ class DagScheduler {
   // complete instead; its own return value is then ignored.
   using NodeFn = std::function<Status(size_t node_index, const DeferFn& defer)>;
 
+  // Called once per run, on a pool worker, after every node has finished
+  // (deferred nodes included): OK, or the run's first error.
+  using DoneFn = std::function<void(Status status)>;
+
   // 0 = one worker per hardware thread (at least 2, so single-core hosts
   // still overlap a slow hop with an independent branch).
   explicit DagScheduler(size_t workers = 0);
@@ -89,42 +97,45 @@ class DagScheduler {
   DagScheduler(const DagScheduler&) = delete;
   DagScheduler& operator=(const DagScheduler&) = delete;
 
-  // Runs every node of `dag` respecting its edges and returns the first
-  // error, if any. On failure no further nodes of that run are dispatched
+  // Starts a run of every node of `dag`, respecting its edges, and returns
+  // at once. On failure no further nodes of that run are dispatched
   // (in-flight tasks finish; deferred nodes still complete through their
-  // Tickets); downstream nodes never run. Blocks the caller until the run
-  // completes — including every deferred node — so per-run state on the
-  // caller's stack stays valid for exactly as long as tasks and Tickets can
-  // reach it. Concurrent callers share the worker pool.
-  Status Run(const Dag& dag, const NodeFn& fn);
-
-  size_t worker_count() const { return workers_.size(); }
+  // Tickets); downstream nodes never run. `done` receives the first error,
+  // if any. `dag` must stay valid until `done` is called; the scheduler must
+  // not be destroyed while a started run is unfinished.
+  void Start(const Dag& dag, NodeFn fn, DoneFn done);
 
  private:
-  // Bookkeeping of one Run, stack-allocated by the caller; workers and
-  // Tickets reach it through the queue entries / ticket slots, which never
-  // outlive the Run (outstanding counts them). Guarded by mutex_.
+  // Bookkeeping of one run, heap-owned from Start until its DoneFn returns.
+  // Workers and Tickets reach it through the queue entries and ticket slots,
+  // which never outlive the run (outstanding counts them). Guarded by
+  // mutex_, except fn and done, which are immutable once started.
   struct RunState {
     const Dag* dag = nullptr;
-    const NodeFn* fn = nullptr;
+    NodeFn fn;
+    DoneFn done;
     std::vector<size_t> remaining_preds;
-    size_t outstanding = 0;  // queued + executing + deferred nodes
+    // Queued + executing + deferred nodes, plus one for each deferring task
+    // that has not yet returned to its worker.
+    size_t outstanding = 0;
     bool cancelled = false;
     Status first_error;
   };
 
+  // Queue entry that finishes a run instead of executing a node.
+  static constexpr size_t kFinish = static_cast<size_t>(-1);
+
   void WorkerLoop();
   // Shared retirement bookkeeping (mutex_ held): records a failure (first
-  // error wins, cancelling the run), enqueues a success's newly-ready
-  // successors, and completes the run when the last outstanding node
-  // retires. Reached from WorkerLoop (synchronous returns) and from
-  // Ticket::Complete (deferred nodes).
-  void RetireLocked(RunState* state, size_t node, Status status)
-      RR_REQUIRES(mutex_);
+  // error wins, cancelling the run) and enqueues a success's newly-ready
+  // successors. A worker retiring its own task pops the first successor
+  // itself, so `self_pops` skips that one wakeup. Reached from WorkerLoop
+  // (synchronous returns) and from Ticket::Complete (deferred nodes).
+  void RetireLocked(RunState* state, size_t node, Status status,
+                    bool self_pops) RR_REQUIRES(mutex_);
 
   Mutex mutex_;
   CondVar work_cv_;
-  CondVar done_cv_;
   bool stopping_ RR_GUARDED_BY(mutex_) = false;
   std::deque<std::pair<RunState*, size_t>> queue_ RR_GUARDED_BY(mutex_);
 

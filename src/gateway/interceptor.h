@@ -23,8 +23,9 @@
 // OnEnter always runs on the gateway's event loop — it must not block (a
 // TryConsume, a map lookup, a header edit; never a Consume or an I/O wait).
 // OnReturn runs wherever the response was produced: the event loop for
-// short circuits, a runtime driver thread for dispatched requests. An
-// interceptor shared across requests synchronizes its own state.
+// short circuits, the DAG pool worker that finished the run for dispatched
+// requests. An interceptor shared across requests synchronizes its own
+// state.
 #pragma once
 
 #include <cstdint>

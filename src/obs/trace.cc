@@ -155,18 +155,24 @@ Nanos Span::End() {
   duration_ = Now() - start_;
   if (!recording_) return duration_;
   InstallContext(previous_);
+  RecordSpan(category_, std::move(name_), ctx_, parent_span_id_, start_,
+             duration_);
+  return duration_;
+}
+
+void RecordSpan(const char* category, std::string name, SpanContext context,
+                uint64_t parent_span_id, TimePoint start, Nanos duration) {
   SpanRecord record;
-  record.name = std::move(name_);
-  record.category = category_;
-  record.trace_id = ctx_.trace_id;
-  record.span_id = ctx_.span_id;
-  record.parent_span_id = parent_span_id_;
+  record.name = std::move(name);
+  record.category = category;
+  record.trace_id = context.trace_id;
+  record.span_id = context.span_id;
+  record.parent_span_id = parent_span_id;
   record.pid = static_cast<int>(::getpid());
   record.tid = CurrentThreadTag();
-  record.start = start_;
-  record.duration = duration_;
+  record.start = start;
+  record.duration = duration;
   Tracer::Get().Record(std::move(record));
-  return duration_;
 }
 
 std::string ExportChromeTrace() {

@@ -98,8 +98,8 @@ class Tracer {
 
 // Installs `context` as the thread's active context for the current scope
 // (and mirrors the trace id into the logger's slot). Used where a context
-// arrives from outside the thread: the runtime driver entering a submitted
-// run, the NodeAgent worker entering a frame's receive+invoke.
+// arrives from outside the thread: a DAG worker entering a node of a
+// submitted run, the NodeAgent worker entering a frame's receive+invoke.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(SpanContext context);
@@ -144,6 +144,13 @@ class Span {
   bool recording_ = false;
   bool ended_ = false;
 };
+
+// Records one finished span on the calling thread. Span::End uses it; so
+// does a span that opens and closes on different threads (a run's root span
+// runs from Submit to the pool worker that finishes the run), which a
+// thread-scoped Span cannot cover.
+void RecordSpan(const char* category, std::string name, SpanContext context,
+                uint64_t parent_span_id, TimePoint start, Nanos duration);
 
 // The Tracer's buffered spans as Chrome trace-event JSON (Perfetto-loadable):
 // {"traceEvents":[{"ph":"X","name",...,"args":{"trace_id",...}}]}.

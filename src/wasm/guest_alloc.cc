@@ -38,15 +38,16 @@ Status GuestAllocator::WriteNext(uint32_t header, uint32_t next) {
 }
 
 Status GuestAllocator::GrowHeap(uint32_t min_extra_bytes) {
-  uint32_t delta_pages =
-      static_cast<uint32_t>(AlignUp(min_extra_bytes, kWasmPageSize) / kWasmPageSize);
-
-  // Claim any memory that already exists past heap_end_ first.
-  const uint64_t existing_slack = memory_->byte_size() - heap_end_;
-  if (existing_slack >= min_extra_bytes) {
-    delta_pages = 0;
-  } else if (memory_->Grow(delta_pages) < 0) {
-    return ResourceExhaustedError("guest heap: memory.grow refused");
+  // Claim the memory that already exists past heap_end_ first; grow only by
+  // the pages it does not cover.
+  const uint64_t needed_end = uint64_t{heap_end_} + min_extra_bytes;
+  if (needed_end > memory_->byte_size()) {
+    const auto delta_pages = static_cast<uint32_t>(
+        AlignUp(needed_end - memory_->byte_size(), kWasmPageSize) /
+        kWasmPageSize);
+    if (memory_->Grow(delta_pages) < 0) {
+      return ResourceExhaustedError("guest heap: memory.grow refused");
+    }
   }
 
   const uint32_t block = heap_end_;

@@ -7,7 +7,10 @@
 // flow-control window exhaustion surfacing typed instead of hanging, fair
 // interleaving of small streams past large ones, and the idle-connection
 // sweep being invisible to senders (transparent reconnect).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -898,6 +901,105 @@ TEST(MuxWireTest, ForeignPreambleIsDroppedNotHung) {
   ASSERT_TRUE(n.ok()) << n.status();
   EXPECT_EQ(*n, 0u);
   EXPECT_EQ((*agent)->transfers_completed(), 0u);
+  (*agent)->Shutdown();
+}
+
+TEST(MuxWireTest, PeerThatStopsReadingIsDropped) {
+  // A peer that keeps sending but never reads buries its own completions:
+  // once more than the outbound cap (4 MiB) of control frames is queued for
+  // it, the agent drops the connection instead of buffering without bound.
+  // Each open names an unknown 256-byte function, so each is refused with a
+  // ~290-byte completion and stages nothing.
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("echo", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+
+  // A small receive buffer, set before connect so the window the agent
+  // sees stays small: the completions back up on the agent's side.
+  osal::UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(fd.valid());
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons((*agent)->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  osal::Connection conn(std::move(fd));
+  // A send that stops making progress fails instead of hanging the test.
+  ASSERT_TRUE(conn.SetIoTimeouts(kEventBound).ok());
+  uint8_t preamble[kMuxPreambleBytes];
+  StoreLE<uint16_t>(preamble, kMuxPreambleMagic);
+  preamble[2] = kMuxVersion;
+  preamble[3] = 0;
+  ASSERT_TRUE(conn.Send(ByteSpan(preamble, sizeof(preamble))).ok());
+
+  // Send opens in batches, never reading, until a send fails: the agent
+  // closed the socket. The cap is reached after about 8 MiB of completions
+  // (agent send buffer + outbound queue); the byte bound is far above that.
+  const std::string unknown(256, 'u');
+  constexpr size_t kBatch = 256;
+  constexpr uint64_t kMaxSent = uint64_t{256} << 20;
+  constexpr Nanos kDropBound = std::chrono::seconds(20);
+  uint32_t next_stream = 1;
+  uint64_t sent = 0;
+  bool dropped = false;
+  const Stopwatch elapsed;
+  while (!dropped && sent < kMaxSent && elapsed.Elapsed() < kDropBound) {
+    Bytes batch;
+    for (size_t i = 0; i < kBatch; ++i) {
+      const Bytes open = EncodeRawOpen(next_stream, next_stream, 1, unknown);
+      ++next_stream;
+      batch.insert(batch.end(), open.begin(), open.end());
+    }
+    size_t off = 0;
+    while (off < batch.size()) {
+      const ssize_t n = ::send(conn.fd(), batch.data() + off,
+                               batch.size() - off, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        // EPIPE / ECONNRESET: the agent dropped us. A timeout would mean
+        // the agent stopped reading instead — a failure, not a drop.
+        dropped = errno == EPIPE || errno == ECONNRESET;
+        ASSERT_TRUE(dropped) << "send failed: " << std::strerror(errno);
+        break;
+      }
+      off += static_cast<size_t>(n);
+      sent += static_cast<uint64_t>(n);
+    }
+  }
+  EXPECT_TRUE(dropped) << "agent still holds the connection after " << sent
+                       << " bytes of opens";
+  conn.Close();
+  bool released = false;
+  for (int attempt = 0; attempt < 100 && !released; ++attempt) {
+    released = (*agent)->active_connections() == 0;
+    if (!released) PreciseSleep(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(released) << "agent still counts the dropped connection";
+
+  // The agent keeps serving a peer that reads.
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+  auto completion = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("echo", rr::Buffer::FromString("still here"),
+                                /*token=*/1, kFailureBound,
+                                completion->Arm(completion))
+                  .ok());
+  ASSERT_TRUE(completion->WaitFor(kEventBound)) << "stream hung";
+  EXPECT_TRUE(completion->Get().ok()) << completion->Get();
+
+  client->Close();
   (*agent)->Shutdown();
 }
 

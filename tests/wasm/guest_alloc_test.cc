@@ -100,6 +100,17 @@ TEST_F(GuestAllocatorTest, GrowsMemoryWhenHeapExhausted) {
   EXPECT_TRUE(memory_.Write(*big, touch).ok());
 }
 
+TEST_F(GuestAllocatorTest, GrowthUsesExistingSlack) {
+  // The 63 KiB past the heap base already hold most of the block: one more
+  // page covers the rest, so the memory ends at 2 pages, not 3.
+  ASSERT_EQ(memory_.pages(), 1u);
+  auto block = alloc_.Allocate(kWasmPageSize);
+  ASSERT_TRUE(block.ok()) << block.status();
+  EXPECT_EQ(memory_.pages(), 2u);
+  Bytes touch(kWasmPageSize, 1);
+  EXPECT_TRUE(memory_.Write(*block, touch).ok());
+}
+
 TEST_F(GuestAllocatorTest, ExhaustionReportedNotCrashed) {
   LinearMemory small({.min_pages = 1, .has_max = true, .max_pages = 2});
   GuestAllocator alloc(&small, 0);
